@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the simulator building blocks: FIFO
 // transfer, window buffer streaming, conv-core cycles, golden convolution,
-// tree reduction, and whole-accelerator simulation throughput.
+// the conv MAC kernel, and whole-accelerator simulation throughput.
 //
 // Fixed Iterations(...) keep the smoke-suite cost bounded: these numbers gate
 // order-of-magnitude regressions, not single-percent ones, and letting
@@ -14,7 +14,7 @@
 #include "core/presets.hpp"
 #include "dataflow/endpoints.hpp"
 #include "dataflow/sim_context.hpp"
-#include "hlscore/tree_reduce.hpp"
+#include "hlscore/mac_kernel.hpp"
 #include "nn/conv2d.hpp"
 #include "report/experiments.hpp"
 #include "sst/window_buffer.hpp"
@@ -90,17 +90,30 @@ void BM_GoldenConv5x5(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenConv5x5)->Iterations(50);
 
-void BM_TreeReduce(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> v(n, 1.0f);
-  std::vector<float> scratch(n);
+// One gather beat of the conv MAC kernel (both engines' hot loop) at TC2's
+// shapes, 12 and 36 output FMs x 25 products, and at AlexNet-mini's two-port
+// conv2 beat, 32 x 50. Items are multiply-accumulates.
+void BM_ConvMacBeat(benchmark::State& state) {
+  const std::int64_t out_fm = state.range(0);
+  const auto in_ports = static_cast<int>(state.range(1));
+  const std::int64_t taps = 25;
+  dfc::Rng rng(3);
+  std::vector<float> weights(static_cast<std::size_t>(out_fm * in_ports * taps));
+  for (float& w : weights) w = rng.uniform(-1.0f, 1.0f);
+  const std::vector<float> biases(static_cast<std::size_t>(out_fm), 0.0f);
+  const dfc::hls::ConvMacKernel kernel(in_ports, out_fm, in_ports, taps, weights, biases);
+  std::vector<float> x(static_cast<std::size_t>(kernel.beat_inputs()));
+  for (float& v : x) v = rng.next_float();
+  std::vector<float> acc(static_cast<std::size_t>(out_fm));
+  kernel.seed(acc);
   for (auto _ : state) {
-    std::copy(v.begin(), v.end(), scratch.begin());
-    benchmark::DoNotOptimize(dfc::hls::tree_reduce_inplace(scratch));
+    kernel.beat(0, x, acc);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(state.iterations() * out_fm * kernel.beat_inputs());
 }
-BENCHMARK(BM_TreeReduce)->Arg(25)->Arg(150)->Arg(900)->Iterations(100'000);
+BENCHMARK(BM_ConvMacBeat)->Args({12, 1})->Args({36, 1})->Args({32, 2})->Iterations(100'000);
 
 void BM_UspsAcceleratorImage(benchmark::State& state) {
   const auto spec = dfc::core::make_usps_spec();

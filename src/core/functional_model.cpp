@@ -1,24 +1,32 @@
 #include "core/functional_model.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <variant>
 
 #include "common/error.hpp"
 #include "hlscore/activation.hpp"
-#include "hlscore/tree_reduce.hpp"
 
 namespace dfc::core {
 
 using dfc::hls::apply_activation;
-using dfc::hls::tree_reduce_inplace;
 
 namespace {
 
-// Bounded memo: enough for every sweep/serve/test image set in the repo;
-// when a workload exceeds it the memo resets rather than growing without
-// bound (replays degrade to recomputation, results are unchanged).
+// Bounded memo: enough for every sweep/serve/test image set in the repo (a
+// sweep replays at most 50 images); when a workload exceeds it the memo
+// resets rather than growing without bound (replays degrade to
+// recomputation, results are unchanged). The image copies are capped in
+// bytes as well as in count, so a design with large inputs cannot pin a
+// thousand of them: 1024 USPS images, 682 CIFAR, 170 AlexNet-mini.
 constexpr std::size_t kMemoCapacity = 1024;
+constexpr std::size_t kMemoImageBytes = std::size_t{8} << 20;
+
+std::size_t memo_capacity(const Shape3& input) {
+  const auto image_bytes = static_cast<std::size_t>(input.volume()) * sizeof(float);
+  return std::clamp<std::size_t>(kMemoImageBytes / image_bytes, 1, kMemoCapacity);
+}
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed = 0xcbf29ce484222325ULL) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -79,85 +87,73 @@ std::string content_key(const NetworkSpec& spec) {
   return key;
 }
 
-// Owns the spec copy a cached model evaluates against.
-struct ModelHolder {
-  explicit ModelHolder(const NetworkSpec& s) : spec(s), model(spec) {}
-  NetworkSpec spec;
-  FunctionalModel model;
-};
-
 std::mutex g_model_cache_mutex;
 
-std::map<std::string, std::shared_ptr<ModelHolder>>& model_cache() {
-  static std::map<std::string, std::shared_ptr<ModelHolder>> cache;
+std::map<std::string, std::shared_ptr<const FunctionalModel>>& model_cache() {
+  static std::map<std::string, std::shared_ptr<const FunctionalModel>> cache;
   return cache;
 }
 
 }  // namespace
 
-FunctionalModel::FunctionalModel(const NetworkSpec& spec) : spec_(&spec) {
-  spec.validate();
+FunctionalModel::FunctionalModel(const NetworkSpec& spec) : spec_(spec) {
+  spec_.validate();
+  memo_capacity_ = memo_capacity(spec_.input_shape);
+  // Each kernel keeps its own re-laid copy, so the spec copy releases its.
+  for (LayerSpec& layer : spec_.layers) {
+    if (auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
+      conv_kernels_.emplace_back(conv->in_shape.c, conv->out_fm, conv->in_ports,
+                                 static_cast<std::int64_t>(conv->kh) * conv->kw, conv->weights,
+                                 conv->biases);
+      conv->weights = std::vector<float>();
+      conv->biases = std::vector<float>();
+    } else if (auto* fcn = std::get_if<FcnLayerSpec>(&layer)) {
+      fcn_kernels_.emplace_back(fcn->in_count, fcn->out_count, fcn->num_accumulators,
+                                fcn->weights, fcn->biases);
+      fcn->weights = std::vector<float>();
+      fcn->biases = std::vector<float>();
+    }
+  }
 }
 
-Tensor FunctionalModel::eval_conv(const ConvLayerSpec& conv, const Tensor& in) const {
+Tensor FunctionalModel::eval_conv(const ConvLayerSpec& conv, const hls::ConvMacKernel& kernel,
+                                  const Tensor& in) const {
   const Shape3 is = conv.in_shape;
   DFC_CHECK(in.shape() == is, "conv input shape mismatch");
   const Shape3 os = conv.out_shape();
   Tensor out(os);
 
-  const std::int64_t taps = static_cast<std::int64_t>(conv.kh) * conv.kw;
   const std::int64_t groups = is.c / conv.in_ports;
-  std::vector<float> products(static_cast<std::size_t>(conv.in_ports * taps));
+  std::vector<float> beat_taps(static_cast<std::size_t>(kernel.beat_inputs()));
+  std::vector<float> acc(static_cast<std::size_t>(conv.out_fm));
   const float* in_data = in.flat().data();
   float* out_data = out.flat().data();
 
-  // Same association order as ConvCore::try_gather: per gather beat g, port p
-  // carries input channel g*IN_PORTS + p; the beat's IN_PORTS*taps products
-  // are tree-reduced and accumulated onto the bias-seeded partial sum. Input
-  // reads go through raw channel-major pointers ((c*H + y)*W + x) — the
-  // assert-checked Tensor::at on this innermost loop dominates the whole
-  // fast-path runtime.
+  // Feeds the kernel ConvCore's beats: in gather beat g, port p carries the
+  // window of input channel g*IN_PORTS + p, taps in row-major order, with 0
+  // for taps in the zero padding. Input reads go through raw channel-major
+  // pointers ((c*H + y)*W + x), not the assert-checked Tensor::at.
   for (std::int64_t oyi = 0; oyi < os.h; ++oyi) {
     const std::int64_t oy = -conv.pad + oyi * conv.stride;
     for (std::int64_t oxi = 0; oxi < os.w; ++oxi) {
       const std::int64_t ox = -conv.pad + oxi * conv.stride;
-      // The presets are unpadded, so the window is almost always interior;
-      // the edge variant only differs in substituting 0 for outside taps.
-      const bool interior =
-          oy >= 0 && oy + conv.kh <= is.h && ox >= 0 && ox + conv.kw <= is.w;
-      for (std::int64_t k = 0; k < conv.out_fm; ++k) {
-        float acc = conv.biases[static_cast<std::size_t>(k)];
-        for (std::int64_t g = 0; g < groups; ++g) {
-          std::size_t n = 0;
-          for (int p = 0; p < conv.in_ports; ++p) {
-            const std::int64_t c = g * conv.in_ports + p;
-            const float* wrow =
-                &conv.weights[static_cast<std::size_t>((k * is.c + c) * taps)];
-            if (interior) {
-              const float* chan = in_data + (c * is.h + oy) * is.w + ox;
-              for (int dy = 0; dy < conv.kh; ++dy) {
-                const float* row = chan + static_cast<std::int64_t>(dy) * is.w;
-                const float* wtap = wrow + static_cast<std::int64_t>(dy) * conv.kw;
-                for (int dx = 0; dx < conv.kw; ++dx) {
-                  products[n++] = wtap[dx] * row[dx];
-                }
-              }
-            } else {
-              for (int dy = 0; dy < conv.kh; ++dy) {
-                const std::int64_t y = oy + dy;
-                for (int dx = 0; dx < conv.kw; ++dx) {
-                  const std::int64_t x = ox + dx;
-                  const bool inside = y >= 0 && y < is.h && x >= 0 && x < is.w;
-                  const float v =
-                      inside ? in_data[(c * is.h + y) * is.w + x] : 0.0f;
-                  products[n++] = wrow[dy * conv.kw + dx] * v;
-                }
-              }
+      kernel.seed(acc);
+      for (std::int64_t g = 0; g < groups; ++g) {
+        float* tap = beat_taps.data();
+        for (int p = 0; p < conv.in_ports; ++p) {
+          const std::int64_t c = g * conv.in_ports + p;
+          for (std::int64_t y = oy; y < oy + conv.kh; ++y) {
+            for (std::int64_t x = ox; x < ox + conv.kw; ++x) {
+              const bool inside = y >= 0 && y < is.h && x >= 0 && x < is.w;
+              *tap++ = inside ? in_data[(c * is.h + y) * is.w + x] : 0.0f;
             }
           }
-          acc += tree_reduce_inplace(std::span<float>(products.data(), n));
         }
-        out_data[(k * os.h + oyi) * os.w + oxi] = apply_activation(conv.act, acc);
+        kernel.beat(g, beat_taps, acc);
+      }
+      for (std::int64_t k = 0; k < conv.out_fm; ++k) {
+        out_data[(k * os.h + oyi) * os.w + oxi] =
+            apply_activation(conv.act, acc[static_cast<std::size_t>(k)]);
       }
     }
   }
@@ -201,49 +197,42 @@ Tensor FunctionalModel::eval_pool(const PoolLayerSpec& pool, const Tensor& in) c
   return out;
 }
 
-Tensor FunctionalModel::eval_fcn(const FcnLayerSpec& fcn, const Tensor& in) const {
+Tensor FunctionalModel::eval_fcn(const FcnLayerSpec& fcn, const hls::FcnMacKernel& kernel,
+                                 const Tensor& in) const {
   const Shape3 is = in.shape();
   DFC_CHECK(is.volume() == fcn.in_count, "fcn input size mismatch");
-  Tensor out(Shape3{fcn.out_count, 1, 1});
 
-  const int lanes = fcn.num_accumulators;
-  std::vector<float> acc(static_cast<std::size_t>(lanes));
-  const float* in_data = in.flat().data();
-  const std::int64_t chan_stride = is.h * is.w;
   // FcnCore consumes the single merged stream, pixel-major with channels
-  // interleaved (spec weights are already permuted to that order), and
-  // spreads input i onto accumulator lane i % num_accumulators; lane 0 is
-  // seeded with the bias and the lanes drain through the tree adder.
-  for (std::int64_t j = 0; j < fcn.out_count; ++j) {
-    acc[0] = fcn.biases[static_cast<std::size_t>(j)];
-    for (int l = 1; l < lanes; ++l) acc[static_cast<std::size_t>(l)] = 0.0f;
-    const float* wrow = &fcn.weights[static_cast<std::size_t>(j * fcn.in_count)];
-    std::int64_t i = 0;
-    int lane = 0;
-    for (std::int64_t y = 0; y < is.h; ++y) {
-      for (std::int64_t x = 0; x < is.w; ++x) {
-        const float* pixel = in_data + y * is.w + x;
-        for (std::int64_t c = 0; c < is.c; ++c) {
-          acc[static_cast<std::size_t>(lane)] += wrow[i] * pixel[c * chan_stride];
-          ++i;
-          if (++lane == lanes) lane = 0;
-        }
-      }
+  // interleaved (spec weights are already permuted to that order).
+  std::vector<float> stream;
+  stream.reserve(static_cast<std::size_t>(fcn.in_count));
+  const float* in_data = in.flat().data();
+  for (std::int64_t y = 0; y < is.h; ++y) {
+    for (std::int64_t x = 0; x < is.w; ++x) {
+      for (std::int64_t c = 0; c < is.c; ++c) stream.push_back(in_data[(c * is.h + y) * is.w + x]);
     }
-    out[j] = apply_activation(fcn.act, tree_reduce_inplace(std::span<float>(acc)));
   }
+
+  std::vector<float> acc(kernel.acc_size());
+  kernel.seed(acc);
+  kernel.accumulate(0, stream, acc);
+  Tensor out(Shape3{fcn.out_count, 1, 1});
+  kernel.drain(acc, out.flat());
+  for (float& v : out.flat()) v = apply_activation(fcn.act, v);
   return out;
 }
 
 std::vector<float> FunctionalModel::infer_uncached(const Tensor& image) const {
   Tensor cur = image;
-  for (const LayerSpec& layer : spec_->layers) {
+  auto conv_kernel = conv_kernels_.begin();
+  auto fcn_kernel = fcn_kernels_.begin();
+  for (const LayerSpec& layer : spec_.layers) {
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      cur = eval_conv(*conv, cur);
+      cur = eval_conv(*conv, *conv_kernel++, cur);
     } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
       cur = eval_pool(*pool, cur);
     } else {
-      cur = eval_fcn(std::get<FcnLayerSpec>(layer), cur);
+      cur = eval_fcn(std::get<FcnLayerSpec>(layer), *fcn_kernel++, cur);
     }
   }
 
@@ -261,9 +250,9 @@ std::vector<float> FunctionalModel::infer_uncached(const Tensor& image) const {
 }
 
 std::vector<float> FunctionalModel::infer(const Tensor& image) const {
-  DFC_REQUIRE(image.shape() == spec_->input_shape,
+  DFC_REQUIRE(image.shape() == spec_.input_shape,
               "image shape " + image.shape().str() + " does not match spec input " +
-                  spec_->input_shape.str());
+                  spec_.input_shape.str());
   const std::span<const float> flat = image.flat();
   const std::size_t bytes = flat.size() * sizeof(float);
   const std::uint64_t hash = fnv1a(flat.data(), bytes);
@@ -284,7 +273,7 @@ std::vector<float> FunctionalModel::infer(const Tensor& image) const {
   std::vector<float> logits = infer_uncached(image);
 
   std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (memo_entries_ >= kMemoCapacity) {
+  if (memo_entries_ >= memo_capacity_) {
     memo_.clear();
     memo_entries_ = 0;
   }
@@ -304,11 +293,9 @@ std::shared_ptr<const FunctionalModel> shared_functional_model(const NetworkSpec
   auto& cache = model_cache();
   auto it = cache.find(key);
   if (it == cache.end()) {
-    it = cache.emplace(std::move(key), std::make_shared<ModelHolder>(spec)).first;
+    it = cache.emplace(std::move(key), std::make_shared<const FunctionalModel>(spec)).first;
   }
-  // Aliasing shared_ptr: keeps the holder (and its spec copy) alive for as
-  // long as any harness points at the model.
-  return std::shared_ptr<const FunctionalModel>(it->second, &it->second->model);
+  return it->second;
 }
 
 void clear_functional_model_cache() {

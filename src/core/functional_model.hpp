@@ -2,13 +2,12 @@
 //
 // The compiled-schedule fast path (core/schedule.hpp) replays timing from a
 // static schedule and needs the logits from somewhere other than the cycle
-// engine. This model reproduces the exact floating-point evaluation order of
-// the simulated cores — per-beat tree reduction over IN_PORTS*taps products
-// in the conv core, interleaved accumulator lanes in the FCN core, tap-order
-// max/mean in the pool core — so its outputs are bit-identical to what the
-// DmaSink collects, not merely close. The equivalence suite
-// (tests/test_schedule.cpp) enforces that bit-identity on every example
-// design.
+// engine. Conv and FCN layers evaluate through the same MAC kernels the
+// simulated cores call (hlscore/mac_kernel.hpp), fed in the cores' stream
+// order; pooling folds taps in the pool core's order. Its outputs are
+// therefore bit-identical to what the DmaSink collects, not merely close.
+// The equivalence suite (tests/test_schedule.cpp) enforces that bit-identity
+// on every example design.
 //
 // Sweeps and serving replay the same images against the same design many
 // times (one harness per batch point, sliced from one shared image set), so
@@ -25,13 +24,14 @@
 #include <vector>
 
 #include "core/network_spec.hpp"
+#include "hlscore/mac_kernel.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dfc::core {
 
 class FunctionalModel {
  public:
-  /// The spec must outlive the model. Throws ConfigError on invalid specs.
+  /// Copies what it needs from `spec`. Throws ConfigError on invalid specs.
   explicit FunctionalModel(const NetworkSpec& spec);
 
   /// Runs one image through every layer and returns the values in DMA sink
@@ -49,14 +49,21 @@ class FunctionalModel {
   };
 
   std::vector<float> infer_uncached(const Tensor& image) const;
-  Tensor eval_conv(const ConvLayerSpec& conv, const Tensor& in) const;
+  Tensor eval_conv(const ConvLayerSpec& conv, const hls::ConvMacKernel& kernel,
+                   const Tensor& in) const;
   Tensor eval_pool(const PoolLayerSpec& pool, const Tensor& in) const;
-  Tensor eval_fcn(const FcnLayerSpec& fcn, const Tensor& in) const;
+  Tensor eval_fcn(const FcnLayerSpec& fcn, const hls::FcnMacKernel& kernel,
+                  const Tensor& in) const;
 
-  const NetworkSpec* spec_;
+  NetworkSpec spec_;  ///< shapes and activations; weights and biases live in the kernels
+  // One kernel per conv / FCN layer, in layer order (immutable after
+  // construction, so infer() needs no lock for them).
+  std::vector<hls::ConvMacKernel> conv_kernels_;
+  std::vector<hls::FcnMacKernel> fcn_kernels_;
 
   // Bounded logits memo (see kMemoCapacity in the .cpp): hash buckets hold
   // full image copies, so a hit requires exact content equality.
+  std::size_t memo_capacity_ = 0;  ///< images held before the memo resets
   mutable std::mutex memo_mutex_;
   mutable std::unordered_map<std::uint64_t, std::vector<MemoEntry>> memo_;
   mutable std::size_t memo_entries_ = 0;

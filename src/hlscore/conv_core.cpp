@@ -1,5 +1,7 @@
 #include "hlscore/conv_core.hpp"
 
+#include <algorithm>
+
 #include "common/math_util.hpp"
 #include "hlscore/tree_reduce.hpp"
 
@@ -7,6 +9,16 @@ namespace dfc::hls {
 
 using dfc::axis::Flit;
 using dfc::sst::Window;
+
+namespace {
+
+// Validates the whole configuration before the kernel re-lays its weights.
+ConvMacKernel make_kernel(const ConvCoreConfig& cfg) {
+  cfg.validate();
+  return {cfg.in_fm, cfg.out_fm, cfg.in_ports, cfg.taps(), cfg.weights, cfg.biases};
+}
+
+}  // namespace
 
 void ConvCoreConfig::validate() const {
   latency.validate();
@@ -37,12 +49,14 @@ ConvCore::ConvCore(std::string name, ConvCoreConfig config,
                    std::vector<dfc::df::Fifo<Flit>*> stream_out)
     : Process(std::move(name)),
       cfg_(std::move(config)),
+      kernel_(make_kernel(cfg_)),
       win_in_(std::move(window_in)),
       out_(std::move(stream_out)),
       acc_(static_cast<std::size_t>(cfg_.out_fm), 0.0f),
-      products_(static_cast<std::size_t>(cfg_.in_ports) * static_cast<std::size_t>(cfg_.taps())),
-      windows_(static_cast<std::size_t>(cfg_.in_ports)) {
-  cfg_.validate();
+      beat_taps_(static_cast<std::size_t>(kernel_.beat_inputs())) {
+  // The kernel keeps its own re-laid copy; release the config's.
+  cfg_.weights = std::vector<float>();
+  cfg_.biases = std::vector<float>();
   // Enough pipeline slots to hide the operator latency at the steady-state
   // initiation interval (the depth of the synthesized pipeline).
   in_flight_limit_ = static_cast<std::size_t>(
@@ -130,38 +144,24 @@ void ConvCore::try_gather() {
     }
   }
 
-  if (group_ == 0) {
-    for (std::int64_t k = 0; k < cfg_.out_fm; ++k) {
-      acc_[static_cast<std::size_t>(k)] = cfg_.biases[static_cast<std::size_t>(k)];
-    }
-  }
+  if (group_ == 0) kernel_.seed(acc_);
 
   // Pop one window per input port; port p at beat g carries input channel
   // g*IN_PORTS + p under the round-robin interleave.
   bool last_of_image = false;
+  const std::int64_t taps = cfg_.taps();
   for (int p = 0; p < cfg_.in_ports; ++p) {
-    Window& w = windows_[static_cast<std::size_t>(p)];
-    w = win_in_[static_cast<std::size_t>(p)]->pop();
-    DFC_ASSERT(w.count == cfg_.taps(), "window tap count mismatch in " + name());
+    const Window w = win_in_[static_cast<std::size_t>(p)]->pop();
+    DFC_ASSERT(w.count == taps, "window tap count mismatch in " + name());
     DFC_ASSERT(w.slot == group_, "window slot out of order in " + name());
     last_of_image |= w.last_of_image;
+    std::copy_n(w.taps.begin(), taps, beat_taps_.begin() + p * taps);
   }
 
   worked_this_cycle_ = true;
-  const std::int64_t taps = cfg_.taps();
-  for (std::int64_t k = 0; k < cfg_.out_fm; ++k) {
-    // Multiplier bank: IN_PORTS * taps products, reduced by the tree adder,
-    // accumulated into the partial-sum register (Algorithm 1).
-    std::size_t n = 0;
-    for (int p = 0; p < cfg_.in_ports; ++p) {
-      const std::int64_t c = group_ * cfg_.in_ports + p;
-      const Window& w = windows_[static_cast<std::size_t>(p)];
-      for (std::int64_t t = 0; t < taps; ++t) {
-        products_[n++] = cfg_.weight(k, c, t) * w.taps[static_cast<std::size_t>(t)];
-      }
-    }
-    acc_[static_cast<std::size_t>(k)] += tree_reduce_inplace(std::span<float>(products_.data(), n));
-  }
+  // Multiplier bank: IN_PORTS * taps products per output FM, reduced by the
+  // tree adder, accumulated into the partial-sum registers (Algorithm 1).
+  kernel_.beat(group_, beat_taps_, acc_);
 
   if (!completing) {
     ++group_;

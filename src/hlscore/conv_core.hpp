@@ -23,6 +23,7 @@
 #include "dataflow/fifo.hpp"
 #include "dataflow/process.hpp"
 #include "hlscore/activation.hpp"
+#include "hlscore/mac_kernel.hpp"
 #include "hlscore/op_latency.hpp"
 #include "obs/activity.hpp"
 #include "sst/window.hpp"
@@ -63,10 +64,6 @@ struct ConvCoreConfig {
   /// of its outputs: multiplier depth, adder-tree depth over the per-beat
   /// products, and the final accumulate into the partial-sum register.
   std::int64_t pipeline_latency() const;
-
-  float weight(std::int64_t k, std::int64_t c, std::int64_t tap) const {
-    return weights[static_cast<std::size_t>((k * in_fm + c) * taps() + tap)];
-  }
 };
 
 class ConvCore final : public dfc::df::Process {
@@ -81,6 +78,8 @@ class ConvCore final : public dfc::df::Process {
   std::uint64_t wake_cycle() const override;
   std::vector<dfc::df::FifoBase*> connected_fifos() const override;
 
+  /// The construction config minus its weights and biases, which the MAC
+  /// kernel holds in its own layout.
   const ConvCoreConfig& config() const { return cfg_; }
   std::uint64_t positions_completed() const { return positions_completed_; }
 
@@ -101,6 +100,7 @@ class ConvCore final : public dfc::df::Process {
   void try_gather();
 
   ConvCoreConfig cfg_;
+  ConvMacKernel kernel_;  ///< multiplier bank + tree adder; owns the weights
   std::vector<dfc::df::Fifo<sst::Window>*> win_in_;
   std::vector<dfc::df::Fifo<dfc::axis::Flit>*> out_;
 
@@ -122,8 +122,7 @@ class ConvCore final : public dfc::df::Process {
   std::size_t in_flight_limit_ = 2;
   std::int64_t emit_beat_ = 0;
 
-  std::vector<float> products_;        ///< scratch for one beat's multiplier outputs
-  std::vector<sst::Window> windows_;   ///< scratch for one beat's popped windows
+  std::vector<float> beat_taps_;  ///< one beat's popped window taps, port-major
 
   std::uint64_t positions_completed_ = 0;
   std::uint64_t gather_stalls_ = 0;

@@ -6,6 +6,16 @@ namespace dfc::hls {
 
 using dfc::axis::Flit;
 
+namespace {
+
+// Validates the whole configuration before the kernel re-lays its weights.
+FcnMacKernel make_kernel(const FcnCoreConfig& cfg) {
+  cfg.validate();
+  return {cfg.in_count, cfg.out_count, cfg.num_accumulators, cfg.weights, cfg.biases};
+}
+
+}  // namespace
+
 void FcnCoreConfig::validate() const {
   latency.validate();
   DFC_REQUIRE(in_count >= 1 && out_count >= 1, "FCN sizes must be >= 1");
@@ -26,11 +36,14 @@ FcnCore::FcnCore(std::string name, FcnCoreConfig config, dfc::df::Fifo<Flit>& in
                  dfc::df::Fifo<Flit>& out)
     : Process(std::move(name)),
       cfg_(std::move(config)),
+      kernel_(make_kernel(cfg_)),
       in_(in),
       out_(out),
-      acc_(static_cast<std::size_t>(cfg_.out_count * cfg_.num_accumulators), 0.0f),
+      acc_(kernel_.acc_size(), 0.0f),
       lane_busy_until_(static_cast<std::size_t>(cfg_.num_accumulators), 0) {
-  cfg_.validate();
+  // The kernel keeps its own re-laid copy; release the config's.
+  cfg_.weights = std::vector<float>();
+  cfg_.biases = std::vector<float>();
   const std::int64_t interval = std::max(cfg_.in_count, cfg_.out_count);
   in_flight_limit_ =
       static_cast<std::size_t>((cfg_.drain_latency() + interval - 1) / interval + 2);
@@ -105,22 +118,11 @@ void FcnCore::try_accumulate() {
     return;
   }
 
-  if (input_index_ == 0) {
-    // Lane 0 starts from the bias; the other lanes start from zero.
-    for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
-      for (int l = 0; l < cfg_.num_accumulators; ++l) {
-        acc_[static_cast<std::size_t>(j * cfg_.num_accumulators + l)] =
-            (l == 0) ? cfg_.biases[static_cast<std::size_t>(j)] : 0.0f;
-      }
-    }
-  }
+  if (input_index_ == 0) kernel_.seed(acc_);  // lane 0 from the bias, the rest from zero
 
   const Flit f = in_.pop();
   worked_this_cycle_ = true;
-  for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
-    acc_[static_cast<std::size_t>(j * cfg_.num_accumulators) + lane] +=
-        cfg_.weight(j, input_index_) * f.data;
-  }
+  kernel_.accumulate(input_index_, std::span<const float>(&f.data, 1), acc_);
   lane_busy_until_[lane] = now() + static_cast<std::uint64_t>(cfg_.latency.fadd);
 
   if (!completing) {
@@ -130,11 +132,7 @@ void FcnCore::try_accumulate() {
   input_index_ = 0;
   InFlight slot;
   slot.values.resize(static_cast<std::size_t>(cfg_.out_count));
-  for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
-    auto lanes = std::span<float>(&acc_[static_cast<std::size_t>(j * cfg_.num_accumulators)],
-                                  static_cast<std::size_t>(cfg_.num_accumulators));
-    slot.values[static_cast<std::size_t>(j)] = tree_reduce_inplace(lanes);
-  }
+  kernel_.drain(acc_, slot.values);
   slot.ready_cycle = now() + static_cast<std::uint64_t>(cfg_.drain_latency());
   in_flight_.push_back(std::move(slot));
   ++images_completed_;

@@ -23,6 +23,7 @@
 #include "dataflow/fifo.hpp"
 #include "dataflow/process.hpp"
 #include "hlscore/activation.hpp"
+#include "hlscore/mac_kernel.hpp"
 #include "hlscore/op_latency.hpp"
 #include "obs/activity.hpp"
 
@@ -45,10 +46,6 @@ struct FcnCoreConfig {
 
   void validate() const;
 
-  float weight(std::int64_t j, std::int64_t i) const {
-    return weights[static_cast<std::size_t>(j * in_count + i)];
-  }
-
   /// Cycles from the acceptance of the last input of an image to the first
   /// output being available: the in-flight multiply+add plus the lane
   /// reduction tree.
@@ -66,6 +63,8 @@ class FcnCore final : public dfc::df::Process {
   std::uint64_t wake_cycle() const override;
   std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
 
+  /// The construction config minus its weights and biases, which the MAC
+  /// kernel holds in its own layout.
   const FcnCoreConfig& config() const { return cfg_; }
   std::uint64_t images_completed() const { return images_completed_; }
 
@@ -86,11 +85,11 @@ class FcnCore final : public dfc::df::Process {
   void try_accumulate();
 
   FcnCoreConfig cfg_;
+  FcnMacKernel kernel_;  ///< 1x1 MACs + accumulator lanes; owns the weights
   dfc::df::Fifo<dfc::axis::Flit>& in_;
   dfc::df::Fifo<dfc::axis::Flit>& out_;
 
-  // acc_[j * num_accumulators + lane]
-  std::vector<float> acc_;
+  std::vector<float> acc_;  ///< accumulator lanes of every output (kernel_ layout)
   std::vector<std::uint64_t> lane_busy_until_;
   std::int64_t input_index_ = 0;
 

@@ -2,10 +2,10 @@
 //
 // The computation core feeds multiplier outputs into a tree adder (paper
 // Sec. IV-A): the tree halves the pipeline depth contribution of the
-// reduction from O(n) sequential adds to O(log2 n) levels. tree_reduce
-// reproduces the exact pairwise association order so the simulated core is
-// bit-identical to what the tree hardware computes, and tree_depth feeds the
-// latency and resource models.
+// reduction from O(n) sequential adds to O(log2 n) levels. tree_reduce is
+// the scalar definition of the pairwise association order the MAC kernels
+// (mac_kernel.hpp) reproduce lane by lane, and the reference their tests
+// compare against; tree_depth feeds the latency and resource models.
 #pragma once
 
 #include <span>
@@ -17,7 +17,7 @@ namespace dfc::hls {
 float tree_reduce(std::span<const float> values);
 
 /// Same association order, but reduces in place (the contents of `values`
-/// are destroyed). Allocation-free; used on simulation hot paths.
+/// are destroyed). Allocation-free.
 float tree_reduce_inplace(std::span<float> values);
 
 /// Number of adder levels of a balanced tree over `n` inputs (= ceil(log2 n),

@@ -1,9 +1,12 @@
 // Tests for the HLS-style compute cores: functional equivalence with the
 // reference layers, the Eq. 4 initiation interval, pipeline latency, the
-// accumulator-interleave behaviour of the FCN core, and the tree adder.
+// accumulator-interleave behaviour of the FCN core, the tree adder, and the
+// MAC kernels' bit-identity with the scalar evaluation order.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "axis/flit.hpp"
 #include "common/rng.hpp"
@@ -11,6 +14,7 @@
 #include "dataflow/sim_context.hpp"
 #include "hlscore/conv_core.hpp"
 #include "hlscore/fcn_core.hpp"
+#include "hlscore/mac_kernel.hpp"
 #include "hlscore/pool_core.hpp"
 #include "hlscore/tree_reduce.hpp"
 #include "nn/conv2d.hpp"
@@ -448,6 +452,147 @@ TEST(FcnCoreTest, DrainLatencyFormula) {
   cfg.biases.resize(2);
   // 8 (mul) + 11 (add) + ceil(log2(11)) = 4 levels * 11 = 44 -> 63.
   EXPECT_EQ(cfg.drain_latency(), 63);
+}
+
+// --- MAC kernels against the scalar evaluation order --------------------------
+
+// Finite values that expose any reassociation or fused rounding: 1e8 next to
+// 1 (1e8 + 1 rounds back to 1e8), signed zeros and subnormals, mixed with
+// ordinary magnitudes.
+std::vector<float> adversarial_values(std::size_t n, std::uint64_t seed) {
+  static constexpr float kSpecial[] = {1e8f, -1e8f, 1.0f, -1.0f, -0.0f, 0.0f, 1e-40f, -3e-39f};
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = rng.bernoulli(0.5) ? kSpecial[rng.next_below(std::size(kSpecial))]
+                           : rng.uniform(-2.0f, 2.0f);
+  }
+  return v;
+}
+
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out;
+  for (float x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+struct ConvKernelCase {
+  std::int64_t out_fm;
+  int in_ports;
+  std::int64_t taps;  ///< products per beat = in_ports * taps
+};
+
+class ConvMacKernelDiff : public ::testing::TestWithParam<ConvKernelCase> {};
+
+TEST_P(ConvMacKernelDiff, BitIdenticalToTreeReducePerOutputAndBeat) {
+  const ConvKernelCase c = GetParam();
+  const std::int64_t groups = 3;
+  const std::int64_t in_fm = groups * c.in_ports;
+  const std::int64_t products = c.in_ports * c.taps;
+  const std::vector<float> weights =
+      adversarial_values(static_cast<std::size_t>(c.out_fm * in_fm * c.taps), 101);
+  const std::vector<float> biases = adversarial_values(static_cast<std::size_t>(c.out_fm), 103);
+  const ConvMacKernel kernel(in_fm, c.out_fm, c.in_ports, c.taps, weights, biases);
+
+  std::vector<float> acc(static_cast<std::size_t>(c.out_fm));
+  std::vector<float> want = biases;
+  kernel.seed(acc);
+  ASSERT_EQ(bits(acc), bits(want));
+  std::vector<float> beat_products(static_cast<std::size_t>(products));
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const std::vector<float> x =
+        adversarial_values(static_cast<std::size_t>(products), 107 + static_cast<std::uint64_t>(g));
+    kernel.beat(g, x, acc);
+    for (std::int64_t k = 0; k < c.out_fm; ++k) {
+      for (std::int64_t n = 0; n < products; ++n) {
+        const std::int64_t ch = g * c.in_ports + n / c.taps;
+        beat_products[static_cast<std::size_t>(n)] =
+            weights[static_cast<std::size_t>((k * in_fm + ch) * c.taps + n % c.taps)] *
+            x[static_cast<std::size_t>(n)];
+      }
+      want[static_cast<std::size_t>(k)] += tree_reduce(beat_products);
+    }
+    EXPECT_EQ(bits(acc), bits(want)) << "after beat " << g;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneTailsAndProductCounts, ConvMacKernelDiff,
+    ::testing::Values(ConvKernelCase{1, 1, 1}, ConvKernelCase{7, 2, 1}, ConvKernelCase{8, 1, 3},
+                      ConvKernelCase{9, 1, 25}, ConvKernelCase{36, 2, 25},
+                      ConvKernelCase{7, 6, 25}, ConvKernelCase{9, 3, 1},
+                      ConvKernelCase{36, 1, 2}, ConvKernelCase{8, 6, 25}),
+    [](const ::testing::TestParamInfo<ConvKernelCase>& p) {
+      return "out" + std::to_string(p.param.out_fm) + "_ports" +
+             std::to_string(p.param.in_ports) + "_taps" + std::to_string(p.param.taps);
+    });
+
+struct FcnKernelCase {
+  std::int64_t out_count;
+  int num_accumulators;
+};
+
+class FcnMacKernelDiff : public ::testing::TestWithParam<FcnKernelCase> {};
+
+TEST_P(FcnMacKernelDiff, BitIdenticalToScalarLaneInterleave) {
+  const FcnKernelCase c = GetParam();
+  for (const std::int64_t in_count : {std::int64_t{1}, std::int64_t{37}, std::int64_t{900}}) {
+    const std::vector<float> weights =
+        adversarial_values(static_cast<std::size_t>(in_count * c.out_count), 211);
+    const std::vector<float> biases =
+        adversarial_values(static_cast<std::size_t>(c.out_count), 223);
+    const std::vector<float> x = adversarial_values(static_cast<std::size_t>(in_count), 227);
+    const FcnMacKernel kernel(in_count, c.out_count, c.num_accumulators, weights, biases);
+
+    // FcnCore's evaluation: input i lands on lane i % num_accumulators, lane
+    // 0 starts from the bias, and the lanes drain through the tree adder.
+    std::vector<float> want(static_cast<std::size_t>(c.out_count));
+    std::vector<float> lanes(static_cast<std::size_t>(c.num_accumulators));
+    for (std::int64_t j = 0; j < c.out_count; ++j) {
+      std::fill(lanes.begin(), lanes.end(), 0.0f);
+      lanes[0] = biases[static_cast<std::size_t>(j)];
+      for (std::int64_t i = 0; i < in_count; ++i) {
+        lanes[static_cast<std::size_t>(i % c.num_accumulators)] +=
+            weights[static_cast<std::size_t>(j * in_count + i)] * x[static_cast<std::size_t>(i)];
+      }
+      want[static_cast<std::size_t>(j)] = tree_reduce(lanes);
+    }
+
+    // The whole stream in one call (FunctionalModel) and one input per call
+    // (FcnCore) must both reproduce it.
+    std::vector<float> acc(kernel.acc_size());
+    std::vector<float> got(static_cast<std::size_t>(c.out_count));
+    kernel.seed(acc);
+    kernel.accumulate(0, x, acc);
+    kernel.drain(acc, got);
+    EXPECT_EQ(bits(got), bits(want)) << "whole stream, in_count " << in_count;
+
+    kernel.seed(acc);
+    for (std::int64_t i = 0; i < in_count; ++i) {
+      kernel.accumulate(i, std::span<const float>(&x[static_cast<std::size_t>(i)], 1), acc);
+    }
+    kernel.drain(acc, got);
+    EXPECT_EQ(bits(got), bits(want)) << "one input per call, in_count " << in_count;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LaneTailsAndAccumulators, FcnMacKernelDiff,
+                         ::testing::Values(FcnKernelCase{1, 1}, FcnKernelCase{10, 2},
+                                           FcnKernelCase{84, 11}, FcnKernelCase{84, 16},
+                                           FcnKernelCase{10, 11}, FcnKernelCase{1, 16},
+                                           FcnKernelCase{84, 1}, FcnKernelCase{10, 16}),
+                         [](const ::testing::TestParamInfo<FcnKernelCase>& p) {
+                           return "out" + std::to_string(p.param.out_count) + "_acc" +
+                                  std::to_string(p.param.num_accumulators);
+                         });
+
+TEST(MacKernelTest, RejectsInconsistentShapes) {
+  const std::vector<float> w(12);
+  const std::vector<float> b(2);
+  EXPECT_THROW(ConvMacKernel(3, 2, 2, 2, w, b), ConfigError);  // 3 FMs over 2 ports
+  EXPECT_THROW(ConvMacKernel(3, 2, 1, 3, w, b), ConfigError);  // 18 weights expected
+  EXPECT_THROW(FcnMacKernel(6, 2, 0, w, b), ConfigError);      // no accumulator lane
+  EXPECT_THROW(FcnMacKernel(4, 3, 11, w, b), ConfigError);     // 3 biases expected
 }
 
 }  // namespace

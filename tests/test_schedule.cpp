@@ -113,6 +113,42 @@ TEST(FunctionalModelTest, MatchesSinkOutputsBitExactly) {
   }
 }
 
+// FNV-1a 64 over the raw bytes of every logit, in image order.
+std::uint64_t logits_hash(const std::vector<std::vector<float>>& outputs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::vector<float>& logits : outputs) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(logits.data());
+    for (std::size_t i = 0; i < logits.size() * sizeof(float); ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(FunctionalModelTest, LogitsMatchPinnedHashes) {
+  // Both engines evaluate through the same MAC kernels, so comparing them
+  // with each other cannot catch a kernel that drifts. These pins are the
+  // logits of the scalar evaluation order: one tree_reduce per output FM
+  // and gather beat, and one scalar accumulator per FCN lane.
+  const struct {
+    NetworkSpec spec;
+    std::uint64_t hash;
+  } pins[] = {{make_usps_spec(), 0x4fd31de42e287396ULL},
+              {make_cifar_spec(), 0x07dc7a33a0c49dcdULL},
+              {make_alexnet_mini_spec(), 0xe821523696e721c1ULL}};
+  for (const auto& pin : pins) {
+    const auto images = dfc::report::random_images(pin.spec, 4);
+    AcceleratorHarness cycle(build_accelerator(pin.spec));
+    EXPECT_EQ(logits_hash(cycle.run_batch(images).outputs), pin.hash)
+        << pin.spec.name << " cycle engine";
+    const FunctionalModel model(pin.spec);
+    std::vector<std::vector<float>> logits;
+    for (const Tensor& image : images) logits.push_back(model.infer(image));
+    EXPECT_EQ(logits_hash(logits), pin.hash) << pin.spec.name << " functional model";
+  }
+}
+
 TEST(FunctionalModelTest, RejectsWrongInputShape) {
   const NetworkSpec spec = make_usps_spec();
   const FunctionalModel model(spec);

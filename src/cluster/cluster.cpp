@@ -46,7 +46,12 @@ struct NodeState {
   NetHop out;
   std::deque<WireDelivery> wire;    ///< routed, still in flight towards the node
   std::deque<QueuedRequest> queue;  ///< delivered, waiting for a batch
+  /// Every slot the node ever had. A slot's index is the `replica` the CSV
+  /// reports, so retired slots stay in place and the vector never shrinks.
   std::vector<ReplicaSlot> replicas;
+  /// Ascending indices of the slots not yet retired: every per-event walk
+  /// goes through these, so a long run's retired slots cost nothing.
+  std::vector<std::size_t> live;
 
   std::uint64_t next_eval = kNever;
   std::uint64_t last_action = 0;
@@ -69,16 +74,23 @@ struct NodeState {
   std::size_t scale_ups = 0;
   std::size_t scale_downs = 0;
 
+  void add_slot(ReplicaSlot slot) {
+    live.push_back(replicas.size());
+    replicas.push_back(std::move(slot));
+  }
+  void retire(std::size_t r) {
+    replicas[r].state = ReplicaState::kRetired;
+    live.erase(std::find(live.begin(), live.end(), r));
+  }
+
   std::size_t active_count() const {
     std::size_t n = 0;
-    for (const ReplicaSlot& r : replicas) n += r.state == ReplicaState::kActive ? 1 : 0;
+    for (const std::size_t r : live) n += replicas[r].state == ReplicaState::kActive ? 1 : 0;
     return n;
   }
   std::size_t usable_count() const {  ///< active + warming (provisioned capacity)
     std::size_t n = 0;
-    for (const ReplicaSlot& r : replicas) {
-      n += (r.state == ReplicaState::kActive || r.state == ReplicaState::kWarming) ? 1 : 0;
-    }
+    for (const std::size_t r : live) n += replicas[r].state != ReplicaState::kDraining ? 1 : 0;
     return n;
   }
 };
@@ -220,7 +232,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     const NodeConfig& nc = config.nodes[i];
     NodeState ns(NetHop("node" + std::to_string(i) + ".in", nc.ingress),
                  NetHop("node" + std::to_string(i) + ".out", nc.egress));
-    ns.replicas.resize(nc.replicas);
+    for (std::size_t r = 0; r < nc.replicas; ++r) ns.add_slot(ReplicaSlot{});
     ns.peak_replicas = nc.replicas;
     if (config.autoscaler.enabled) {
       ns.next_eval = first_arrival + config.autoscaler.eval_interval_cycles;
@@ -283,18 +295,26 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
   // takes the egress hop home (one serialized transfer per response, rider
   // id order); draining replicas retire once their last batch lands.
   auto finalize_completions = [&](NodeState& ns) {
-    for (ReplicaSlot& slot : ns.replicas) {
-      if (slot.batch == kNoBatch || slot.busy_until > now) continue;
-      for (const std::uint64_t id : slot.riders) {
-        ClusterOutcome& o = report.outcomes[id];
-        o.response_cycle = ns.out.transfer(now, config.response_words);
-        last_response = std::max(last_response, o.response_cycle);
-        ++ns.completed;
+    std::size_t i = 0;
+    while (i < ns.live.size()) {
+      const std::size_t r = ns.live[i];
+      ReplicaSlot& slot = ns.replicas[r];
+      if (slot.batch != kNoBatch && slot.busy_until <= now) {
+        for (const std::uint64_t id : slot.riders) {
+          ClusterOutcome& o = report.outcomes[id];
+          o.response_cycle = ns.out.transfer(now, config.response_words);
+          last_response = std::max(last_response, o.response_cycle);
+          ++ns.completed;
+        }
+        ns.inflight_gauge->add(-static_cast<double>(slot.riders.size()));
+        slot.riders.clear();
+        slot.batch = kNoBatch;
+        if (slot.state == ReplicaState::kDraining) {
+          ns.retire(r);  // the next live slot moves into position i
+          continue;
+        }
       }
-      ns.inflight_gauge->add(-static_cast<double>(slot.riders.size()));
-      slot.riders.clear();
-      slot.batch = kNoBatch;
-      if (slot.state == ReplicaState::kDraining) slot.state = ReplicaState::kRetired;
+      ++i;
     }
   };
 
@@ -313,7 +333,8 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
   // from triggering a thrash train.
   auto autoscale = [&](std::size_t node) {
     NodeState& ns = nodes[node];
-    for (ReplicaSlot& slot : ns.replicas) {
+    for (const std::size_t r : ns.live) {
+      ReplicaSlot& slot = ns.replicas[r];
       if (slot.state == ReplicaState::kWarming && slot.ready_at <= now) {
         slot.state = ReplicaState::kActive;
         ns.active_gauge->set(static_cast<double>(ns.active_count()));
@@ -331,17 +352,21 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
       ReplicaSlot slot;
       slot.state = ReplicaState::kWarming;
       slot.ready_at = now + config.autoscaler.warmup_cycles;
-      ns.replicas.push_back(std::move(slot));
+      ns.add_slot(std::move(slot));
       ++ns.scale_ups;
       record_scale(node, +1);
     } else if (depth < config.autoscaler.scale_down_depth * static_cast<double>(active) &&
                active == usable && active > config.nodes[node].replicas) {
       // Drain the highest-index active replica: no new batches; it retires
       // when the in-flight one lands (immediately when idle).
-      for (std::size_t r = ns.replicas.size(); r-- > 0;) {
-        ReplicaSlot& slot = ns.replicas[r];
+      for (auto it = ns.live.rbegin(); it != ns.live.rend(); ++it) {
+        ReplicaSlot& slot = ns.replicas[*it];
         if (slot.state != ReplicaState::kActive) continue;
-        slot.state = slot.batch == kNoBatch ? ReplicaState::kRetired : ReplicaState::kDraining;
+        if (slot.batch == kNoBatch) {
+          ns.retire(*it);
+        } else {
+          slot.state = ReplicaState::kDraining;
+        }
         break;
       }
       ++ns.scale_downs;
@@ -373,7 +398,8 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
       if (cls.deadline_cycles > 0) {
         const std::size_t active = std::max<std::size_t>(ns.active_count(), 1);
         double backlog = 0.0;
-        for (const ReplicaSlot& slot : ns.replicas) {
+        for (const std::size_t r : ns.live) {
+          const ReplicaSlot& slot = ns.replicas[r];
           if (slot.state == ReplicaState::kActive && slot.busy_until > now) {
             backlog += static_cast<double>(slot.busy_until - now);
           }
@@ -408,7 +434,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     const std::vector<std::uint64_t>& table = tables[node];
     while (!ns.queue.empty()) {
       std::size_t free = ns.replicas.size();
-      for (std::size_t r = 0; r < ns.replicas.size(); ++r) {
+      for (const std::size_t r : ns.live) {
         if (ns.replicas[r].state == ReplicaState::kActive && ns.replicas[r].batch == kNoBatch) {
           free = r;
           break;
@@ -443,8 +469,8 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     if (next_arrival < requests.size()) return true;
     for (const NodeState& ns : nodes) {
       if (!ns.wire.empty() || !ns.queue.empty()) return true;
-      for (const ReplicaSlot& slot : ns.replicas) {
-        if (slot.batch != kNoBatch) return true;
+      for (const std::size_t r : ns.live) {
+        if (ns.replicas[r].batch != kNoBatch) return true;
       }
     }
     return false;
@@ -456,7 +482,8 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     for (const NodeState& ns : nodes) {
       if (!ns.wire.empty()) t = std::min(t, ns.wire.front().cycle);
       bool has_free_active = false;
-      for (const ReplicaSlot& slot : ns.replicas) {
+      for (const std::size_t r : ns.live) {
+        const ReplicaSlot& slot = ns.replicas[r];
         if (slot.batch != kNoBatch) t = std::min(t, slot.busy_until);
         if (slot.state == ReplicaState::kWarming) t = std::min(t, slot.ready_at);
         if (slot.state == ReplicaState::kActive && slot.batch == kNoBatch) {
@@ -531,7 +558,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
   }
   for (std::size_t c = 0; c < classes.size(); ++c) {
     ClassStats& cs = stats.classes[c];
-    const LatencyPercentiles lp = latency_percentiles(class_latencies[c]);
+    const LatencyPercentiles lp = latency_percentiles(std::move(class_latencies[c]));
     cs.p50_latency_cycles = lp.p50;
     cs.p95_latency_cycles = lp.p95;
     cs.p99_latency_cycles = lp.p99;

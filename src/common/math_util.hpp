@@ -48,6 +48,17 @@ inline bool almost_equal(float a, float b, float rel = 1e-4f, float abs = 1e-5f)
   return diff <= rel * largest;
 }
 
+/// Zero-based position of the nearest-rank pct-th percentile (pct in
+/// [0, 100]) in a sorted sample of n >= 1 elements: rank ceil(pct/100 * n),
+/// clamped to [1, n], so p0 maps to the minimum. The epsilon keeps
+/// exact-integer products (e.g. 99.9% of 2000 = 1998) from ceiling one rank
+/// too high off a one-ulp rounding error.
+inline std::size_t nearest_rank_index(double pct, std::size_t n) {
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(pct / 100.0 * static_cast<double>(n) - 1e-9));
+  return std::clamp<std::size_t>(rank, 1, n) - 1;
+}
+
 /// Nearest-rank percentile of an unsorted sample (pct in [0, 100]): the
 /// smallest element with at least pct% of the sample at or below it. Returns
 /// 0 on an empty sample so latency reports degrade gracefully when nothing
@@ -55,19 +66,13 @@ inline bool almost_equal(float a, float b, float rel = 1e-4f, float abs = 1e-5f)
 inline std::uint64_t percentile_nearest_rank(std::vector<std::uint64_t> sample, double pct) {
   DFC_REQUIRE(pct >= 0.0 && pct <= 100.0, "percentile must be in [0, 100]");
   if (sample.empty()) return 0;
-  std::sort(sample.begin(), sample.end());
-  // rank = ceil(pct/100 * n), clamped to [1, n]; p0 maps to the minimum.
-  // The epsilon keeps exact-integer products (e.g. 99.9% of 2000 = 1998)
-  // from ceiling one rank too high off a one-ulp rounding error.
-  const auto n = sample.size();
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(n) - 1e-9));
-  rank = std::clamp<std::size_t>(rank, 1, n);
-  return sample[rank - 1];
+  const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(
+                                        nearest_rank_index(pct, sample.size()));
+  std::nth_element(sample.begin(), nth, sample.end());
+  return *nth;
 }
 
-/// The three tail quantiles every latency report uses, in one pass over the
-/// sorted sample.
+/// The tail quantiles every latency report uses.
 struct LatencyPercentiles {
   std::uint64_t p50 = 0;
   std::uint64_t p95 = 0;
@@ -77,22 +82,27 @@ struct LatencyPercentiles {
   std::uint64_t p999 = 0;
 };
 
+/// Selects the four quantiles without sorting: each std::nth_element call
+/// leaves everything above its pick in the tail, so the next, higher rank is
+/// searched for only there. Pass the sample by std::move where the caller
+/// no longer needs it.
 inline LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> sample) {
   LatencyPercentiles p;
   if (sample.empty()) return p;
-  std::sort(sample.begin(), sample.end());
-  const auto n = sample.size();
-  auto rank = [n](double pct) {
-    // Same epsilon as percentile_nearest_rank: exact-integer products must
-    // not ceil one rank high off a one-ulp rounding error.
-    const auto r = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(n) - 1e-9));
-    return std::clamp<std::size_t>(r, 1, n) - 1;
+  auto unsorted = sample.begin();  // no element before it exceeds any element from it on
+  auto select = [&](double pct) {
+    const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(
+                                          nearest_rank_index(pct, sample.size()));
+    if (nth >= unsorted) {  // else the previous, equal rank already placed it
+      std::nth_element(unsorted, nth, sample.end());
+      unsorted = nth + 1;
+    }
+    return *nth;
   };
-  p.p50 = sample[rank(50.0)];
-  p.p95 = sample[rank(95.0)];
-  p.p99 = sample[rank(99.0)];
-  p.p999 = sample[rank(99.9)];
+  p.p50 = select(50.0);
+  p.p95 = select(95.0);
+  p.p99 = select(99.0);
+  p.p999 = select(99.9);
   return p;
 }
 

@@ -55,6 +55,19 @@ void NetworkSpec::validate() const {
   Shape3 shape = input_shape;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const LayerSpec& layer = layers[i];
+    // layer_describe() and out_shape() divide by these; check them first.
+    auto require_positive = [i](int value, const char* field) {
+      DFC_REQUIRE(value > 0, "layer " + std::to_string(i) + ": " + field +
+                                 " must be positive, got " + std::to_string(value));
+    };
+    if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
+      require_positive(conv->in_ports, "conv in_ports");
+      require_positive(conv->out_ports, "conv out_ports");
+      require_positive(conv->stride, "conv stride");
+    } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
+      require_positive(pool->ports, "pool ports");
+      require_positive(pool->stride, "pool stride");
+    }
     const std::string where = "layer " + std::to_string(i) + " (" + layer_describe(layer) + ")";
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
       DFC_REQUIRE(conv->in_shape == shape, where + ": input shape mismatch, expected " +

@@ -72,10 +72,10 @@ std::size_t ReplicaPool::warmed_batch_limit() const {
   return limit;
 }
 
-void ReplicaPool::execute(const std::vector<BatchRecord>& batch_records,
-                          const std::vector<Tensor>& images,
-                          const std::vector<std::size_t>& request_image_index,
-                          std::vector<RequestOutcome>& outcomes, std::size_t threads) {
+std::vector<std::vector<float>> ReplicaPool::execute(
+    const std::vector<BatchRecord>& batch_records, const std::vector<Tensor>& images,
+    const std::vector<std::size_t>& request_image_index, std::size_t threads) {
+  std::vector<std::vector<float>> logits(request_image_index.size());
   // Batches grouped per replica in plan order; replicas run in parallel.
   std::vector<std::vector<std::size_t>> per_replica(size());
   for (std::size_t b = 0; b < batch_records.size(); ++b) {
@@ -103,10 +103,11 @@ void ReplicaPool::execute(const std::vector<BatchRecord>& batch_records,
                     " took " + std::to_string(res.total_cycles()) + " cycles, planned " +
                     std::to_string(rec.service_cycles()));
       for (std::size_t j = 0; j < rec.request_ids.size(); ++j) {
-        outcomes.at(rec.request_ids[j]).logits = res.outputs[j];
+        logits.at(rec.request_ids[j]) = res.outputs[j];
       }
     }
   });
+  return logits;
 }
 
 }  // namespace dfc::serve

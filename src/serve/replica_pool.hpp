@@ -50,13 +50,14 @@ class ReplicaPool {
 
   /// Replays a planned timeline for real: every batch in `batch_records`
   /// runs on its assigned replica (same-replica batches in plan order,
-  /// replicas in parallel) and writes per-request logits into `outcomes`
-  /// (indexed by request id). Throws InternalError if a batch's measured
-  /// cycles disagree with the plan's service window.
-  void execute(const std::vector<BatchRecord>& batch_records,
-               const std::vector<Tensor>& images,
-               const std::vector<std::size_t>& request_image_index,
-               std::vector<RequestOutcome>& outcomes, std::size_t threads = 0);
+  /// replicas in parallel). Returns per-request logits indexed by request
+  /// id, one entry per `request_image_index` entry; requests of no clean
+  /// batch get none. Throws InternalError if a batch's measured cycles
+  /// disagree with the plan's service window.
+  std::vector<std::vector<float>> execute(const std::vector<BatchRecord>& batch_records,
+                                          const std::vector<Tensor>& images,
+                                          const std::vector<std::size_t>& request_image_index,
+                                          std::size_t threads = 0);
 
  private:
   std::uint64_t measure(std::size_t replica, std::size_t n);

@@ -10,20 +10,18 @@
 namespace dfc::serve {
 
 /// What happened to one request. Cycles are simulated fabric cycles; a shed
-/// request has only its arrival.
+/// request has only its arrival. A run keeps one per request, so it holds
+/// plain data only (56 bytes); logits live in ServeReport::logits.
 struct RequestOutcome {
   std::uint64_t id = 0;
   std::uint64_t arrival_cycle = 0;
-  bool shed = false;
   std::uint64_t dispatch_cycle = 0;    ///< batch close / replica start
   std::uint64_t completion_cycle = 0;  ///< last output word of its batch
   std::size_t batch_id = 0;
   std::size_t replica = 0;
-  std::vector<float> logits;  ///< filled only when outputs are computed
-
-  // Fault-mode recovery bookkeeping (zero in fault-free runs).
-  std::uint32_t retries = 0;  ///< re-enqueues after a failed/corrupted batch
-  bool failed = false;        ///< retry budget exhausted or pool fully dead
+  std::uint32_t retries = 0;  ///< fault mode: re-enqueues after a failed/corrupted batch
+  bool shed = false;          ///< refused at arrival by a full queue
+  bool failed = false;        ///< fault mode: retry budget exhausted or pool fully dead
 
   /// Queueing + service latency (valid when !shed && !failed); the arrival is
   /// the original one, so retried requests pay their wasted attempts.
@@ -90,6 +88,10 @@ struct ServeStats {
 struct ServeReport {
   ServeStats stats;
   std::vector<RequestOutcome> outcomes;
+  /// Per-request logits, indexed by request id; empty unless
+  /// ServeConfig::compute_outputs is set, and empty for a request that never
+  /// completed.
+  std::vector<std::vector<float>> logits;
   std::vector<BatchRecord> batch_records;
   /// Periodic metric snapshots (CSV text, header + one row per sample);
   /// empty unless ServeConfig::metrics_snapshot_cycles is set.

@@ -72,13 +72,14 @@ ServeStats summarize(const std::vector<Request>& requests,
                     dfc::core::cycles_to_seconds(total_span);
   s.mean_queue_depth = depth_cycle_area / total_span;
 
-  const LatencyPercentiles lp = latency_percentiles(latencies);
+  const LatencyPercentiles lp = latency_percentiles(std::move(latencies));
   s.p50_latency_cycles = lp.p50;
   s.p95_latency_cycles = lp.p95;
   s.p99_latency_cycles = lp.p99;
   s.p999_latency_cycles = lp.p999;
-  s.mean_latency_cycles =
-      latencies.empty() ? 0.0 : latency_sum / static_cast<double>(latencies.size());
+  s.mean_latency_cycles = s.completed_requests == 0
+                              ? 0.0
+                              : latency_sum / static_cast<double>(s.completed_requests);
   return s;
 }
 
@@ -503,8 +504,8 @@ ServeReport InferenceServer::run(const Load& load) {
   if (config_.compute_outputs) {
     std::vector<std::size_t> request_image_index(load.requests.size());
     for (const Request& r : load.requests) request_image_index[r.id] = r.image_index;
-    pool_.execute(report.batch_records, load.images, request_image_index, report.outcomes,
-                  config_.threads);
+    report.logits =
+        pool_.execute(report.batch_records, load.images, request_image_index, config_.threads);
   }
   return report;
 }

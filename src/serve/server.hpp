@@ -47,8 +47,8 @@ struct ServeConfig {
   std::size_t queue_capacity = 64;
   BatcherPolicy batcher{};
   /// Replay every planned batch on its replica to produce per-request
-  /// logits (and cross-check planned vs measured cycles). Off by default:
-  /// load studies only need the timeline.
+  /// logits in ServeReport::logits (and cross-check planned vs measured
+  /// cycles). Off by default: load studies only need the timeline.
   bool compute_outputs = false;
   /// Worker threads for warm()/execute() (0 = auto). Never changes results.
   std::size_t threads = 0;
@@ -98,7 +98,7 @@ class InferenceServer {
   InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config);
 
   /// Warm (if needed) + plan; with config.compute_outputs also replays the
-  /// plan on the replicas to fill per-request logits.
+  /// plan on the replicas to fill ServeReport::logits.
   ServeReport run(const Load& load);
 
   ReplicaPool& pool() { return pool_; }

@@ -1,7 +1,8 @@
 // Tests for the cluster subsystem: network-hop timing and attribution,
 // routing policies, deadline-class admission ordering under overload,
-// autoscaler hysteresis on a step load, multi-board service tables, and
-// byte-determinism of the full report across DFCNN_SWEEP_THREADS.
+// autoscaler hysteresis on a step load, multi-board service tables,
+// byte-determinism of the full report across DFCNN_SWEEP_THREADS, and pinned
+// report bytes of the CLI's reference fleet.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include "cluster/service_table.hpp"
 #include "common/error.hpp"
 #include "core/presets.hpp"
+#include "dse/throughput_model.hpp"
 #include "serve/load_generator.hpp"
 
 namespace dfc::cluster {
@@ -384,6 +386,70 @@ TEST(ClusterDeterminismTest, ReportBytesIdenticalAcrossSweepThreads) {
   }
   EXPECT_EQ(csv1, csv4);
   EXPECT_EQ(json1, json4);
+}
+
+// --- pinned report bytes -------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The fleet `dfcnn cluster` plans (tools/dfcnn_cli.cpp): four nodes, node 0
+/// on two-board replicas with routing weight 2, least-loaded routing, the
+/// three default SLO classes and 3.2 Gbps / 2 us hops.
+ClusterConfig reference_fleet_config(const core::NetworkSpec& spec) {
+  ClusterConfig config;
+  config.policy = RoutePolicy::kLeastLoaded;
+  config.batcher.max_batch_size = 16;
+  config.batcher.max_wait_cycles =
+      static_cast<std::uint64_t>(dse::estimate_timing(spec).interval_cycles) * 16;
+  config.classes = default_deadline_classes();
+  HopModel hop;
+  hop.link.link = core::LinkModel{200, 1};
+  for (std::size_t i = 0; i < 4; ++i) {
+    NodeConfig nc;
+    nc.boards = i == 0 ? 2 : 1;
+    nc.replicas = 2;
+    nc.queue_capacity = 256;
+    nc.weight = i == 0 ? 2 : 1;
+    nc.ingress = hop;
+    nc.egress = hop;
+    config.nodes.push_back(nc);
+  }
+  return config;
+}
+
+TEST(ClusterPinTest, ReferenceFleetReportsMatchPinnedHashes) {
+  // `dfcnn cluster usps` with its defaults: 40k requests per shape at
+  // 2 Mreq/s, seed 7. Both runs scale nodes down as well as up (the diurnal
+  // one has 115 scale events), so the pins cover replica retirement as well
+  // as the timeline. They are the per-request CSV plus the scorecard JSON of
+  // the planner before its event loop learned to skip retired replicas.
+  const core::NetworkSpec spec = core::make_usps_preset().compile_spec();
+  Cluster fleet(spec, reference_fleet_config(spec));
+  const struct {
+    dfc::serve::ArrivalProcess shape;
+    std::uint64_t hash;
+  } pins[] = {{dfc::serve::ArrivalProcess::kDiurnal, 0xe0dcaacacb338f0dULL},
+              {dfc::serve::ArrivalProcess::kBursty, 0xe631b1f7b2c55820ULL}};
+  for (const auto& pin : pins) {
+    dfc::serve::LoadSpec ls;
+    ls.arrivals = pin.shape;
+    ls.rate_images_per_second = 2'000'000.0;
+    ls.request_count = 40'000;
+    ls.seed = 7;
+    const char* shape = dfc::serve::arrival_process_name(pin.shape);
+    const ClusterReport report = fleet.run(dfc::serve::generate_load(spec, ls), shape, shape);
+    std::size_t scale_downs = 0;
+    for (const NodeStats& n : report.stats.node_stats) scale_downs += n.scale_downs;
+    EXPECT_GT(scale_downs, 0u) << shape;
+    EXPECT_EQ(fnv1a(report.csv() + report.stats.to_json()), pin.hash) << shape;
+  }
 }
 
 }  // namespace

@@ -94,6 +94,38 @@ TEST(SpecTest, ValidateCatchesShapeBreaks) {
   EXPECT_THROW(spec.validate(), ConfigError);
 }
 
+// Each of these fields is a divisor in layer_describe() or out_shape(); a
+// zero used to kill validate() with SIGFPE instead of a ConfigError.
+TEST(SpecTest, ValidateRejectsZeroConvInPorts) {
+  NetworkSpec spec = make_usps_spec();
+  std::get<ConvLayerSpec>(spec.layers[0]).in_ports = 0;
+  EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+TEST(SpecTest, ValidateRejectsZeroConvOutPorts) {
+  NetworkSpec spec = make_usps_spec();
+  std::get<ConvLayerSpec>(spec.layers[0]).out_ports = 0;
+  EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+TEST(SpecTest, ValidateRejectsZeroConvStride) {
+  NetworkSpec spec = make_usps_spec();
+  std::get<ConvLayerSpec>(spec.layers[0]).stride = 0;
+  EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+TEST(SpecTest, ValidateRejectsZeroPoolPorts) {
+  NetworkSpec spec = make_usps_spec();
+  std::get<PoolLayerSpec>(spec.layers[1]).ports = 0;
+  EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+TEST(SpecTest, ValidateRejectsZeroPoolStride) {
+  NetworkSpec spec = make_usps_spec();
+  std::get<PoolLayerSpec>(spec.layers[1]).stride = 0;
+  EXPECT_THROW(spec.validate(), ConfigError);
+}
+
 TEST(SpecTest, DescribeMentionsEveryLayer) {
   const NetworkSpec spec = make_cifar_spec();
   const std::string d = spec.describe();

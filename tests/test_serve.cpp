@@ -1,9 +1,11 @@
 // Tests for the serving subsystem: bounded queue admission (shed, never
 // block), dynamic batcher triggers (size and timeout), FIFO response
 // ordering, replica-pool determinism across thread counts, output
-// correctness against the single-image harness, and the percentile helpers.
+// correctness against the single-image harness, the percentile helpers
+// against a sorted reference, and pinned report bytes of an overloaded plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -14,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/rng.hpp"
 #include "core/presets.hpp"
 #include "obs/trace.hpp"
 #include "fault/fault_plan.hpp"
@@ -89,6 +92,46 @@ TEST(PercentileTest, TiesAndUnsortedInput) {
   EXPECT_EQ(percentile_nearest_rank({5, 1, 5, 5}, 50.0), 5u);
   EXPECT_EQ(percentile_nearest_rank({5, 1, 5, 5}, 25.0), 1u);
   EXPECT_EQ(percentile_nearest_rank({7, 7, 7, 7}, 99.0), 7u);
+}
+
+TEST(PercentileTest, SelectionMatchesSortedNearestRank) {
+  // Both helpers select instead of sorting; they must read exactly what the
+  // sorted sample holds at each nearest rank. The reference rank is integer
+  // arithmetic, ceil(n * tenths / 1000), independent of the floating-point
+  // rank helper the two share.
+  struct Quantile {
+    const char* name;
+    double pct;
+    std::uint64_t tenths;
+    std::uint64_t LatencyPercentiles::*field;
+  };
+  const Quantile quantiles[] = {{"p50", 50.0, 500, &LatencyPercentiles::p50},
+                                {"p95", 95.0, 950, &LatencyPercentiles::p95},
+                                {"p99", 99.0, 990, &LatencyPercentiles::p99},
+                                {"p99.9", 99.9, 999, &LatencyPercentiles::p999}};
+  Rng rng(2017);
+  for (std::size_t n = 1; n <= 5000; ++n) {
+    // Every fifth n gets each shape: heavy duplicates, all equal, sorted with
+    // runs, reverse-sorted, and wide random values.
+    std::vector<std::uint64_t> sample(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (n % 5) {
+        case 1: sample[i] = 1000 + rng.next_below(8); break;
+        case 2: sample[i] = 4242; break;
+        case 3: sample[i] = i / 3; break;
+        case 4: sample[i] = (n - i) * 7; break;
+        default: sample[i] = rng.next_u64(); break;
+      }
+    }
+    std::vector<std::uint64_t> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    const LatencyPercentiles p = latency_percentiles(sample);
+    for (const Quantile& q : quantiles) {
+      const std::uint64_t expected = sorted[(n * q.tenths + 999) / 1000 - 1];
+      ASSERT_EQ(p.*q.field, expected) << "n=" << n << " " << q.name;
+      ASSERT_EQ(percentile_nearest_rank(sample, q.pct), expected) << "n=" << n << " " << q.name;
+    }
+  }
 }
 
 // --- request queue -------------------------------------------------------------
@@ -425,6 +468,71 @@ TEST(PlanServingTest, LateArrivalJoinsBatchClosingThatCycle) {
   EXPECT_EQ(report.batch_records[0].dispatch_cycle, 500u);
 }
 
+// FNV-1a 64; integers go in as 8 little-endian bytes.
+class Fnv1a {
+ public:
+  void add(const std::string& s) {
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
+  // USPS on two replicas at 1.2x their batch-16 capacity, with metric
+  // snapshots and request spans on. The pin covers every byte the planner
+  // reports (outcomes, scorecard, metrics CSV, spans), as computed by the
+  // planner before its outcome records were packed.
+  const core::NetworkSpec spec = core::make_usps_spec();
+  ReplicaPool pool(spec, 1);
+  pool.warm(16);
+  std::vector<std::uint64_t> table;
+  for (std::size_t n = 1; n <= 16; ++n) table.push_back(pool.service_cycles(n));
+
+  ServeConfig config = basic_config(16, 4096, 2);
+  MetricsRegistry registry;
+  config.metrics = &registry;
+  config.metrics_snapshot_cycles = 250'000;
+  obs::TraceSink sink;
+  config.trace = &sink;
+  LoadSpec ls;
+  ls.rate_images_per_second =
+      1.2 * 2.0 * 16.0 / core::cycles_to_seconds(static_cast<double>(table[15]));
+  ls.request_count = 20'000;
+  ls.seed = 5;
+  const ServeReport report = plan_serving(generate_load(spec, ls).requests, config, table);
+  ASSERT_GT(report.stats.shed_requests, 0u);
+  ASSERT_EQ(sink.dropped(), 0u);
+
+  Fnv1a h;
+  for (const RequestOutcome& o : report.outcomes) {
+    for (const std::uint64_t v : {o.id, o.arrival_cycle, o.dispatch_cycle, o.completion_cycle,
+                                  std::uint64_t{o.batch_id}, std::uint64_t{o.replica},
+                                  std::uint64_t{o.retries}, std::uint64_t{o.shed},
+                                  std::uint64_t{o.failed}}) {
+      h.add(v);
+    }
+  }
+  h.add(report.stats.render());
+  h.add(report.metrics_csv);
+  for (const obs::TraceEvent& ev : sink.events()) {
+    for (const std::uint64_t v : {ev.cycle, std::uint64_t{ev.entity},
+                                  static_cast<std::uint64_t>(ev.kind), std::uint64_t{ev.value}}) {
+      h.add(v);
+    }
+  }
+  EXPECT_EQ(h.value(), 0xade2abde4603f15eULL);
+}
+
 // --- plan_serving: fault recovery ----------------------------------------------
 
 TEST(FaultRecoveryTest, ReplicaKillRetriesOnSurvivorAndQuarantines) {
@@ -594,8 +702,8 @@ void expect_same_report(const ServeReport& a, const ServeReport& b) {
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].shed, b.outcomes[i].shed);
     EXPECT_EQ(a.outcomes[i].completion_cycle, b.outcomes[i].completion_cycle);
-    EXPECT_EQ(a.outcomes[i].logits, b.outcomes[i].logits);
   }
+  EXPECT_EQ(a.logits, b.logits);
 }
 
 ServeReport run_scenario_with_outputs() {
@@ -650,10 +758,10 @@ TEST(InferenceServerTest, BatchedLogitsMatchSingleImageHarness) {
   std::vector<std::vector<float>> per_image;
   for (const Tensor& img : load.images) per_image.push_back(reference.run_image(img));
 
+  ASSERT_EQ(report.logits.size(), load.requests.size());
   for (const Request& r : load.requests) {
-    const RequestOutcome& o = report.outcomes[r.id];
-    ASSERT_FALSE(o.shed);
-    EXPECT_EQ(o.logits, per_image[r.image_index])
+    ASSERT_FALSE(report.outcomes[r.id].shed);
+    EXPECT_EQ(report.logits[r.id], per_image[r.image_index])
         << "request " << r.id << " logits diverge from the single-image harness";
   }
 }

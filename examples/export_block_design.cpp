@@ -44,7 +44,7 @@ void report(const dfc::core::NetworkSpec& spec) {
 
   const std::string dot_path = spec.name + ".dot";
   std::ofstream dot(dot_path);
-  dot << core::block_design_dot(spec, *harness.accelerator().ctx);
+  dot << core::block_design_dot(spec, harness.accelerator());
   std::printf("Graphviz file written to %s (render: dot -Tpng %s -o %s.png)\n\n",
               dot_path.c_str(), dot_path.c_str(), spec.name.c_str());
 }

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/math_util.hpp"
 #include "core/interlink.hpp"
 #include "obs/activity.hpp"
 
@@ -45,15 +44,10 @@ struct HopModel {
     return static_cast<std::uint64_t>(link.link.cycles_per_word);
   }
 
-  /// Sustained serialization cost per word under credit flow control:
-  /// max(cycles_per_word, ceil(2*latency/credits)) — estimate_multi_timing's
-  /// credit law. With auto-sized credits (0) the window never throttles and
-  /// this equals cycles_per_word.
+  /// Sustained serialization cost per word under credit flow control
+  /// (InterLinkModel's credit law).
   std::uint64_t effective_cycles_per_word() const {
-    const auto round_trip = static_cast<std::int64_t>(2 * link.link.latency_cycles);
-    return std::max<std::uint64_t>(
-        cycles_per_word(),
-        static_cast<std::uint64_t>(dfc::ceil_div(round_trip, link.effective_credits())));
+    return static_cast<std::uint64_t>(link.effective_cycles_per_word());
   }
 
   void validate() const { link.validate(); }

@@ -40,9 +40,10 @@ BlockInfo block_info(const LayerSpec& layer, const Shape3& in_shape) {
 }
 
 // Aggregate pressure of the parallel port FIFOs crossing one stage boundary:
-// every FIFO named exactly `prefix` or `prefix` followed by a port number.
+// every FIFO produced by the nodes feeding layer `layer` — the DMA source
+// for the first layer, otherwise the compute cores of the layer before
+// (layer == spec.layers.size() is the boundary into the DMA sink).
 struct EdgePressure {
-  std::size_t fifos = 0;
   std::size_t capacity = 0;  ///< per-channel capacity (max across ports)
   std::size_t max_occupancy = 0;
   std::uint64_t pushes = 0;
@@ -50,24 +51,21 @@ struct EdgePressure {
   std::uint64_t empty_stalls = 0;
 };
 
-EdgePressure edge_pressure(const dfc::df::SimContext& ctx, const std::string& prefix) {
+EdgePressure edge_pressure(const DesignInstance& design, std::size_t layer) {
   EdgePressure e;
-  for (std::size_t i = 0; i < ctx.fifo_count(); ++i) {
-    const dfc::df::FifoBase& f = ctx.fifo(i);
-    const std::string& n = f.name();
-    if (n.compare(0, prefix.size(), prefix) != 0) continue;
-    bool port_suffix = true;
-    for (std::size_t k = prefix.size(); k < n.size(); ++k) {
-      port_suffix = port_suffix && n[k] >= '0' && n[k] <= '9';
+  for (const GraphNode& node : design.graph.nodes) {
+    const bool feeds = layer == 0 ? node.kind == NodeKind::kDmaSource
+                                  : is_compute_core(node.kind) && node.layer + 1 == layer;
+    if (!feeds) continue;
+    for (int c : node.outputs) {
+      const dfc::df::FifoBase& f = *design.fifos[static_cast<std::size_t>(c)];
+      const dfc::df::FifoStats& s = f.lifetime_stats();
+      e.capacity = std::max(e.capacity, f.capacity());
+      e.max_occupancy = std::max(e.max_occupancy, s.max_occupancy);
+      e.pushes += s.pushes;
+      e.full_stalls += s.full_stall_cycles;
+      e.empty_stalls += s.empty_stall_cycles;
     }
-    if (!port_suffix) continue;
-    const dfc::df::FifoStats& s = f.lifetime_stats();
-    ++e.fifos;
-    e.capacity = std::max(e.capacity, f.capacity());
-    e.max_occupancy = std::max(e.max_occupancy, s.max_occupancy);
-    e.pushes += s.pushes;
-    e.full_stalls += s.full_stall_cycles;
-    e.empty_stalls += s.empty_stall_cycles;
   }
   return e;
 }
@@ -130,19 +128,14 @@ std::string block_design_ascii(const NetworkSpec& spec) {
 
 namespace {
 
-// Shared body of the plain and pressure-annotated DOT exports. The stage
-// boundary feeding layer i maps onto FIFO names as the builder assigns them:
-// "dma.in" into the first layer, "L<i-1>.out<p>" between layers and into the
-// sink (the fcn output FIFO has no port suffix, which edge_pressure's
-// exact-prefix match also accepts).
-std::string block_design_dot_impl(const NetworkSpec& spec, const dfc::df::SimContext* ctx) {
+// Shared body of the plain and pressure-annotated DOT exports.
+std::string block_design_dot_impl(const NetworkSpec& spec, const DesignInstance* design) {
   std::ostringstream os;
   os << "digraph \"" << spec.name << "\" {\n";
   os << "  rankdir=TB;\n  node [shape=record, fontname=\"Helvetica\"];\n";
   os << "  dma_in [label=\"DMA source|32-bit stream\\n400 MB/s\"];\n";
   Shape3 shape = spec.input_shape;
   std::string prev = "dma_in";
-  std::string prev_fifo_prefix = "dma.in";
   int prev_ports = 1;
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const LayerSpec& layer = spec.layers[i];
@@ -153,21 +146,20 @@ std::string block_design_dot_impl(const NetworkSpec& spec, const dfc::df::SimCon
     os << "\"];\n";
     const int in_p = layer_in_ports(layer);
     const int channels = std::max(prev_ports, in_p);
-    if (ctx != nullptr) {
+    if (design != nullptr) {
       os << "  " << prev << " -> " << id << " ["
-         << pressure_attrs(edge_pressure(*ctx, prev_fifo_prefix), channels) << "];\n";
+         << pressure_attrs(edge_pressure(*design, i), channels) << "];\n";
     } else {
       os << "  " << prev << " -> " << id << " [label=\"" << channels << " ch\"];\n";
     }
     prev = id;
-    prev_fifo_prefix = "L" + std::to_string(i) + ".out";
     prev_ports = layer_out_ports(layer);
     shape = layer_out_shape(layer);
   }
   os << "  dma_out [label=\"DMA sink|" << shape.volume() << " class scores\"];\n";
-  if (ctx != nullptr) {
+  if (design != nullptr) {
     os << "  " << prev << " -> dma_out ["
-       << pressure_attrs(edge_pressure(*ctx, prev_fifo_prefix), prev_ports) << "];\n";
+       << pressure_attrs(edge_pressure(*design, spec.layers.size()), prev_ports) << "];\n";
   } else {
     os << "  " << prev << " -> dma_out;\n";
   }
@@ -181,8 +173,8 @@ std::string block_design_dot(const NetworkSpec& spec) {
   return block_design_dot_impl(spec, nullptr);
 }
 
-std::string block_design_dot(const NetworkSpec& spec, const dfc::df::SimContext& ctx) {
-  return block_design_dot_impl(spec, &ctx);
+std::string block_design_dot(const NetworkSpec& spec, const DesignInstance& design) {
+  return block_design_dot_impl(spec, &design);
 }
 
 }  // namespace dfc::core

@@ -8,8 +8,8 @@
 
 #include <string>
 
+#include "core/builder.hpp"
 #include "core/network_spec.hpp"
-#include "dataflow/sim_context.hpp"
 
 namespace dfc::core {
 
@@ -20,13 +20,14 @@ std::string block_design_ascii(const NetworkSpec& spec);
 std::string block_design_dot(const NetworkSpec& spec);
 
 /// DOT description annotated with simulated FIFO pressure. Each inter-stage
-/// edge carries the channel capacity and, once `ctx` has seen traffic, the
-/// max occupancy plus full/empty stall cycles summed over the parallel port
-/// FIFOs of that boundary (lifetime stats, so resets between measurements do
-/// not erase them). Edges are coloured by the dominant stall direction:
-/// red = back-pressure (full stalls), blue = starvation (empty stalls,
-/// counted only while stall accounting or tracing was enabled), green =
-/// traffic with no stalls. `ctx` must be the context the spec was built into.
-std::string block_design_dot(const NetworkSpec& spec, const dfc::df::SimContext& ctx);
+/// edge carries the channel capacity and, once `design` has seen traffic,
+/// the max occupancy plus full/empty stall cycles summed over the parallel
+/// port FIFOs of that boundary — the outputs of the graph nodes producing it
+/// (lifetime stats, so resets between measurements do not erase them).
+/// Edges are coloured by the dominant stall direction: red = back-pressure
+/// (full stalls), blue = starvation (empty stalls, counted only while stall
+/// accounting or tracing was enabled), green = traffic with no stalls.
+/// `design` must be built from `spec`.
+std::string block_design_dot(const NetworkSpec& spec, const DesignInstance& design);
 
 }  // namespace dfc::core

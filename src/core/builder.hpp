@@ -1,12 +1,15 @@
-// Assembles a NetworkSpec into a simulated accelerator: SST memory
-// structures, compute cores, port adapters and the DMA endpoints, all wired
-// with FIFO channels inside one SimContext.
+// Assembles a NetworkSpec into a simulated accelerator: instantiates the
+// design graph core::elaborate derives (SST memory structures, compute cores,
+// port adapters and the DMA endpoints, wired with FIFO channels) inside one
+// SimContext — or, through mfpga::build_multi_fpga, one context per board.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/dma.hpp"
+#include "core/elaborate.hpp"
+#include "core/interlink.hpp"
 #include "core/link.hpp"
 #include "core/network_spec.hpp"
 #include "dataflow/sim_context.hpp"
@@ -50,70 +53,49 @@ struct BuildOptions {
   /// The built design is identical either way; this only chooses how batches
   /// are executed (see ExecutionMode).
   ExecutionMode execution_mode = ExecutionMode::kCycleAccurate;
-
-  /// Run the full static verifier (src/verify, if linked) before building:
-  /// AcceleratorHarness and mfpga::build_multi_fpga throw verify::VerifyError
-  /// carrying every diagnostic instead of failing on the first DFC_REQUIRE.
-  /// Off by default so existing flows are byte-identical.
-  bool preflight_verify = false;
 };
 
-/// A built accelerator. The SimContext owns all processes and FIFOs; the raw
-/// pointers here are stable views for measurement and tests.
-struct Accelerator {
-  std::unique_ptr<dfc::df::SimContext> ctx;
+/// A DesignGraph made real: the graph itself, the simulator entity behind
+/// each node and channel, and typed views of the interesting ones. Raw
+/// pointers are stable views into the owning context(s).
+struct DesignInstance {
   NetworkSpec spec;
   BuildOptions options;  ///< the options this design was built with
+  DesignGraph graph;     ///< elaborated from spec and options
+  std::vector<dfc::df::Process*> processes;  ///< per node; null for a filter-chain mem node
+  std::vector<dfc::df::FifoBase*> fifos;     ///< per channel; null for an inter-device wire
 
-  std::unique_ptr<DmaBus> bus;  ///< shared DMA arbiter (null in private mode)
   DmaSource* source = nullptr;
   DmaSink* sink = nullptr;
-
   std::vector<dfc::hls::ConvCore*> conv_cores;
   std::vector<dfc::hls::FcnCore*> fcn_cores;
   std::vector<dfc::hls::PoolCore*> pool_cores;
-  std::vector<LinkChannel*> links;  ///< inter-FPGA channels, if any
+
+  /// Multi-context board crossings, owned here (a wire belongs to neither
+  /// clock domain); txs/rxs are parallel to wires.
+  std::vector<std::unique_ptr<InterLinkWire>> wires;
+  std::vector<InterLinkTx*> txs;
+  std::vector<InterLinkRx*> rxs;
 };
 
-/// Builds the full design. Throws ConfigError on invalid specs.
+/// Instantiates `design.graph` in stored order: each node's output FIFOs —
+/// a Tx's inter-device wire — and then the node's process, in
+/// contexts[node.device]. This is the FIFO and process registration order
+/// that fault-site draws and trace entity ids follow. buses[d] (may be null)
+/// arbitrates device d's DMA endpoints; `link` times every wire.
+void instantiate(DesignInstance& design, const InterLinkModel& link,
+                 const std::vector<dfc::df::SimContext*>& contexts,
+                 const std::vector<DmaBus*>& buses);
+
+/// A built single-context accelerator. The SimContext owns all processes and
+/// FIFOs.
+struct Accelerator : DesignInstance {
+  std::unique_ptr<dfc::df::SimContext> ctx;
+  std::unique_ptr<DmaBus> bus;  ///< shared DMA arbiter (null in private mode)
+};
+
+/// Builds the full design: instantiates elaborate(spec, options) in one
+/// context. Throws verify::VerifyError (a ConfigError) on invalid specs.
 Accelerator build_accelerator(const NetworkSpec& spec, const BuildOptions& options = {});
-
-// --- Segment-level building blocks (shared with src/multifpga/exec) ----------
-//
-// build_accelerator is a composition of these: the layer pipeline is built
-// one contiguous layer range ("segment") at a time, and the multi-FPGA
-// executor reuses the same functions to materialise each segment inside its
-// own per-device SimContext. `prefix` namespaces every FIFO/process name
-// (the single-device builder passes "", keeping historical names).
-
-/// Compute-core views collected while appending segments.
-struct SegmentCores {
-  std::vector<dfc::hls::ConvCore*> conv_cores;
-  std::vector<dfc::hls::FcnCore*> fcn_cores;
-  std::vector<dfc::hls::PoolCore*> pool_cores;
-};
-
-/// The stream bundle flowing between segments: one FIFO per port plus the
-/// feature-map shape those ports carry (channels interleaved round-robin).
-struct SegmentStreams {
-  std::vector<dfc::df::Fifo<dfc::axis::Flit>*> streams;
-  Shape3 shape{};
-};
-
-/// Adapts `streams` (carrying `channels` interleaved FMs round-robin) to
-/// `target` ports, inserting PortDemux/PortMerge cores as required
-/// (the three cases of Sec. IV-A).
-std::vector<dfc::df::Fifo<dfc::axis::Flit>*> adapt_stream_ports(
-    dfc::df::SimContext& ctx, const std::string& name,
-    std::vector<dfc::df::Fifo<dfc::axis::Flit>*> streams, std::int64_t channels,
-    int target, std::size_t fifo_capacity);
-
-/// Appends layers [first, last) of `spec` to `ctx`, consuming the incoming
-/// stream bundle and returning the segment's outgoing one. Core views are
-/// appended to `cores` in layer order.
-SegmentStreams append_layer_segment(dfc::df::SimContext& ctx, const NetworkSpec& spec,
-                                    std::size_t first, std::size_t last, SegmentStreams in,
-                                    const BuildOptions& options, const std::string& prefix,
-                                    SegmentCores& cores);
 
 }  // namespace dfc::core

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "core/functional_model.hpp"
-#include "core/preflight.hpp"
 #include "core/schedule.hpp"
 
 namespace dfc::core {
@@ -47,12 +46,6 @@ std::int64_t BatchResult::predicted_class(std::size_t i) const {
   const auto& logits = outputs.at(i);
   return static_cast<std::int64_t>(
       std::max_element(logits.begin(), logits.end()) - logits.begin());
-}
-
-AcceleratorHarness::AcceleratorHarness(Accelerator acc) : acc_(std::move(acc)) {
-  // Pre-flight covers hand-assembled accelerators too (build_accelerator
-  // already ran it for designs it constructed itself). Off by default.
-  run_preflight(acc_.spec, acc_.options);
 }
 
 AcceleratorHarness::~AcceleratorHarness() = default;

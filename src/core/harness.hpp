@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -97,7 +98,7 @@ struct BatchResult {
 
 class AcceleratorHarness {
  public:
-  explicit AcceleratorHarness(Accelerator acc);
+  explicit AcceleratorHarness(Accelerator acc) : acc_(std::move(acc)) {}
   ~AcceleratorHarness();
 
   /// Streams the whole batch back to back (pipelined mode). A run that

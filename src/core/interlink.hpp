@@ -37,6 +37,7 @@
 // Process::notify_external_event() whenever they change wire state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -63,6 +64,15 @@ struct InterLinkModel {
   int effective_credits() const {
     if (credits > 0) return credits;
     return static_cast<int>(dfc::ceil_div(2 * link.latency_cycles, link.cycles_per_word)) + 2;
+  }
+
+  /// The credit law: at most `credits` words fit in one 2*latency round
+  /// trip, so a window sustains one word per max(cycles_per_word,
+  /// ceil(2*latency/credits)) cycles; the auto-sized one never throttles.
+  std::int64_t effective_cycles_per_word() const {
+    if (credits <= 0) return link.cycles_per_word;
+    return std::max<std::int64_t>(link.cycles_per_word,
+                                  dfc::ceil_div(2 * link.latency_cycles, credits));
   }
 
   void validate() const {

@@ -6,6 +6,9 @@
 
 namespace dfc::core {
 
+using dfc::verify::Code;
+using dfc::verify::Diagnostic;
+
 Shape3 layer_out_shape(const LayerSpec& layer) {
   return std::visit([](const auto& l) { return l.out_shape(); }, layer);
 }
@@ -50,63 +53,133 @@ Shape3 NetworkSpec::output_shape() const {
   return layer_out_shape(layers.back());
 }
 
-void NetworkSpec::validate() const {
-  DFC_REQUIRE(!layers.empty(), "network has no layers");
-  Shape3 shape = input_shape;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const LayerSpec& layer = layers[i];
-    // layer_describe() and out_shape() divide by these; check them first.
-    auto require_positive = [i](int value, const char* field) {
-      DFC_REQUIRE(value > 0, "layer " + std::to_string(i) + ": " + field +
-                                 " must be positive, got " + std::to_string(value));
+std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
+  std::vector<Diagnostic> out;
+  if (spec.layers.empty()) {
+    out.push_back({Code::DF101, "network", "network has no layers"});
+    return out;
+  }
+
+  Shape3 shape = spec.input_shape;
+  if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
+    out.push_back({Code::DF101, "network", "input shape " + shape.str() + " is not positive"});
+    return out;
+  }
+
+  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
+    const auto& layer = spec.layers[i];
+    const std::string where = "L" + std::to_string(i);
+    // Conv and pool: out_shape() divides by the stride, so without one no
+    // shape downstream means anything.
+    const auto window_ok = [&](const auto& l) {
+      if (l.stride <= 0) {
+        out.push_back({Code::DF101, where, "stride must be positive, got " +
+                                               std::to_string(l.stride)});
+        return false;
+      }
+      if (!(l.in_shape == shape)) {
+        out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
+                                               " got " + l.in_shape.str()});
+      }
+      return true;
     };
+    const auto check_table = [&](const char* table, std::size_t size, std::int64_t want) {
+      if (static_cast<std::int64_t>(size) != want) {
+        out.push_back({Code::DF103, where, std::string(table) + " table has " +
+                                               std::to_string(size) + " entries, expected " +
+                                               std::to_string(want)});
+      }
+    };
+    const auto check_activation = [&](Activation act) {
+      if (act != Activation::kNone && act != Activation::kRelu && act != Activation::kTanh) {
+        out.push_back({Code::DF106, where, "activation " + std::to_string(static_cast<int>(act)) +
+                                               " is not none, relu or tanh"});
+      }
+    };
+
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      require_positive(conv->in_ports, "conv in_ports");
-      require_positive(conv->out_ports, "conv out_ports");
-      require_positive(conv->stride, "conv stride");
+      if (!window_ok(*conv)) return out;
+      check_activation(conv->act);
+      if (conv->in_ports <= 0 || conv->out_ports <= 0) {
+        out.push_back({Code::DF102, where, "port counts must be positive"});
+        shape = conv->out_shape();
+        continue;
+      }
+      if (shape.c % conv->in_ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "IN_FM (" + std::to_string(shape.c) + ") not divisible by IN_PORTS (" +
+                           std::to_string(conv->in_ports) + ")"});
+      }
+      if (conv->out_fm % conv->out_ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "OUT_FM (" + std::to_string(conv->out_fm) +
+                           ") not divisible by OUT_PORTS (" +
+                           std::to_string(conv->out_ports) + ")"});
+      }
+      check_table("weight", conv->weights.size(),
+                  conv->out_fm * conv->in_shape.c * conv->kh * conv->kw);
+      check_table("bias", conv->biases.size(), conv->out_fm);
+      if (conv->pad > 0 && conv->use_filter_chain) {
+        out.push_back({Code::DF104, where,
+                       "the element-level filter chain supports only P = 0 "
+                       "(zero-padding needs the fused memory structure)"});
+      }
+      shape = conv->out_shape();
     } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-      require_positive(pool->ports, "pool ports");
-      require_positive(pool->stride, "pool stride");
-    }
-    const std::string where = "layer " + std::to_string(i) + " (" + layer_describe(layer) + ")";
-    if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      DFC_REQUIRE(conv->in_shape == shape, where + ": input shape mismatch, expected " +
-                                               shape.str() + " got " + conv->in_shape.str());
-      DFC_REQUIRE(shape.c % conv->in_ports == 0, where + ": IN_FM not divisible by IN_PORTS");
-      DFC_REQUIRE(conv->out_fm % conv->out_ports == 0,
-                  where + ": OUT_FM not divisible by OUT_PORTS");
-      DFC_REQUIRE(static_cast<std::int64_t>(conv->weights.size()) ==
-                      conv->out_fm * shape.c * conv->kh * conv->kw,
-                  where + ": weight size mismatch");
-      DFC_REQUIRE(static_cast<std::int64_t>(conv->biases.size()) == conv->out_fm,
-                  where + ": bias size mismatch");
-      DFC_REQUIRE(!(conv->pad > 0 && conv->use_filter_chain),
-                  where + ": the element-level filter chain supports only P = 0");
-    } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-      DFC_REQUIRE(pool->in_shape == shape, where + ": input shape mismatch, expected " +
-                                               shape.str() + " got " + pool->in_shape.str());
-      DFC_REQUIRE(shape.c % pool->ports == 0, where + ": channels not divisible by cores");
+      if (!window_ok(*pool)) return out;
+      if (pool->ports <= 0) {
+        out.push_back({Code::DF102, where, "pool core count must be positive"});
+        shape = pool->out_shape();
+        continue;
+      }
+      if (shape.c % pool->ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "channels (" + std::to_string(shape.c) + ") not divisible by cores (" +
+                           std::to_string(pool->ports) + ")"});
+      }
+      shape = pool->out_shape();
     } else {
       const auto& fcn = std::get<FcnLayerSpec>(layer);
-      DFC_REQUIRE(fcn.in_count == shape.volume(),
-                  where + ": input count mismatch, expected " + std::to_string(shape.volume()));
-      DFC_REQUIRE(static_cast<std::int64_t>(fcn.weights.size()) == fcn.in_count * fcn.out_count,
-                  where + ": weight size mismatch");
-      DFC_REQUIRE(static_cast<std::int64_t>(fcn.biases.size()) == fcn.out_count,
-                  where + ": bias size mismatch");
+      if (fcn.in_count != shape.volume()) {
+        out.push_back({Code::DF105, where,
+                       "classifier expects " + std::to_string(fcn.in_count) +
+                           " inputs but upstream delivers " + std::to_string(shape.volume())});
+      }
+      check_table("weight", fcn.weights.size(), fcn.in_count * fcn.out_count);
+      check_table("bias", fcn.biases.size(), fcn.out_count);
+      if (fcn.num_accumulators <= 0) {
+        out.push_back({Code::DF106, where, "num_accumulators must be positive, got " +
+                                               std::to_string(fcn.num_accumulators)});
+      }
+      check_activation(fcn.act);
+      shape = fcn.out_shape();
     }
-    // Port-count adapters exist for every </=/> combination, but divisibility
-    // between consecutive port counts is required by the round-robin
-    // interleave (Sec. IV-A).
+
+    if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
+      out.push_back({Code::DF101, where, "output shape " + shape.str() + " is not positive"});
+      return out;  // downstream shapes are meaningless
+    }
+
+    // Divisibility between consecutive port counts, required by the
+    // round-robin interleave (Sec. IV-A).
     if (i > 0) {
-      const int up = layer_out_ports(layers[i - 1]);
+      const int up = layer_out_ports(spec.layers[i - 1]);
       const int down = layer_in_ports(layer);
-      DFC_REQUIRE(up == down || (up < down && down % up == 0) || (up > down && up % down == 0),
-                  where + ": incompatible port counts " + std::to_string(up) + " -> " +
-                      std::to_string(down));
+      if (up > 0 && down > 0 &&
+          !(up == down || (up < down && down % up == 0) || (up > down && up % down == 0))) {
+        out.push_back({Code::DF102, where,
+                       "incompatible port counts " + std::to_string(up) + " -> " +
+                           std::to_string(down) + " (round-robin interleave needs one to "
+                           "divide the other)"});
+      }
     }
-    shape = layer_out_shape(layer);
   }
+  return out;
+}
+
+void NetworkSpec::validate() const {
+  std::vector<Diagnostic> errors = check_spec(*this);  // every DF1xx code is an error
+  if (!errors.empty()) throw dfc::verify::VerifyError(std::move(errors));
 }
 
 std::int64_t NetworkSpec::flops_per_image() const {

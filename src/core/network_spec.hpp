@@ -17,6 +17,7 @@
 #include "hlscore/op_latency.hpp"
 #include "hlscore/pool_core.hpp"
 #include "tensor/tensor.hpp"
+#include "verify/diagnostics.hpp"
 
 namespace dfc::core {
 
@@ -96,7 +97,8 @@ struct NetworkSpec {
   /// Number of classifier outputs (volume of the last layer's output).
   std::int64_t num_outputs() const { return output_shape().volume(); }
 
-  /// Validates shape chaining and port compatibility; throws ConfigError.
+  /// Throws verify::VerifyError (a ConfigError) carrying every error
+  /// check_spec() finds; no-op on a legal spec.
   void validate() const;
 
   /// Floating-point operations per image: 2*MACs + bias adds for conv/fcn,
@@ -106,5 +108,9 @@ struct NetworkSpec {
   /// Multiline description of the whole design.
   std::string describe() const;
 };
+
+/// The spec rules (DF1xx), one diagnostic per problem found (empty for a
+/// legal spec): validate() throws them, the static verifier reports them.
+std::vector<dfc::verify::Diagnostic> check_spec(const NetworkSpec& spec);
 
 }  // namespace dfc::core

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "verify/verifier.hpp"
 
 namespace dfc::dse {
 
@@ -137,18 +136,6 @@ DseResult explore(const nn::Sequential& net, const Shape3& input_shape,
     } catch (const dfc::ConfigError&) {
       ++result.candidates_rejected;
       continue;  // adapter/divisibility constraints reject this plan
-    }
-    if (options.verify_candidates) {
-      // Static legality first: a candidate carrying DF1xx errors would only
-      // fail later (or deadlock in simulation) — reject before pricing it.
-      const auto diags = dfc::verify::check_spec(cand.spec);
-      const bool illegal = std::any_of(diags.begin(), diags.end(), [](const auto& d) {
-        return d.severity == dfc::verify::Severity::kError;
-      });
-      if (illegal) {
-        ++result.candidates_rejected;
-        continue;
-      }
     }
     cand.timing = estimate_timing(cand.spec);
     cand.resources = dfc::hw::estimate_design(cand.spec, options.cost_model).total;

@@ -33,11 +33,6 @@ struct DseOptions {
   std::size_t beam_width = 0;
   /// Cap on ports per interface (fully parallel designs can explode).
   int max_ports = 64;
-  /// Run the static verifier's spec checks (src/verify, DF1xx) on every
-  /// compiled candidate and reject the ones carrying errors before pricing
-  /// them — the ROADMAP's "reject illegal candidates without paying for
-  /// simulation" filter.
-  bool verify_candidates = true;
 };
 
 struct DseCandidate {
@@ -52,7 +47,8 @@ struct DseResult {
   DseCandidate best;
   std::size_t candidates_evaluated = 0;
   std::size_t candidates_fitting = 0;
-  /// Candidates the static verifier rejected (verify_candidates only).
+  /// Candidates compile() rejected: its validate() applies every spec rule
+  /// (DF1xx), so illegal plans are dropped before they are priced.
   std::size_t candidates_rejected = 0;
   /// The full Pareto frontier (throughput vs DSP usage) among fitting designs.
   std::vector<DseCandidate> pareto;

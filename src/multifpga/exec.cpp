@@ -4,15 +4,11 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/preflight.hpp"
-#include "verify/diagnostics.hpp"
 
 namespace dfc::mfpga {
 
-using dfc::axis::Flit;
 using dfc::core::BatchResult;
 using dfc::core::RunStatus;
-using dfc::df::Fifo;
 using dfc::df::SimContext;
 
 namespace {
@@ -21,8 +17,6 @@ namespace {
 // harness owns the global one) nor clamp a coordinated fast-forward jump
 // shorter than the common target — both would desynchronise the clocks.
 constexpr std::uint64_t kDeviceIdleLimit = 1'000'000'000'000ULL;
-
-std::string device_prefix(std::size_t d) { return "fpga" + std::to_string(d) + "."; }
 
 }  // namespace
 
@@ -36,111 +30,42 @@ MultiFpgaAccelerator build_multi_fpga(const dfc::core::NetworkSpec& spec,
                                       const std::vector<std::size_t>& layer_device,
                                       const dfc::core::BuildOptions& options,
                                       int link_credits) {
-  dfc::core::run_multi_preflight(spec, layer_device, options, link_credits);
-  spec.validate();
-  if (layer_device.size() != spec.layers.size()) {
-    throw dfc::verify::VerifyError(
-        {dfc::verify::Code::DF403, "partition",
-         "layer_device has " + std::to_string(layer_device.size()) + " entries for " +
-             std::to_string(spec.layers.size()) + " layer(s)"});
-  }
-  for (std::size_t i = 1; i < layer_device.size(); ++i) {
-    if (layer_device[i] < layer_device[i - 1]) {
-      throw dfc::verify::VerifyError(
-          {dfc::verify::Code::DF403, "L" + std::to_string(i),
-           "device assignment goes backwards (" + std::to_string(layer_device[i - 1]) + " -> " +
-               std::to_string(layer_device[i]) + "); the design is a forward pipeline"});
-    }
-  }
-
+  const dfc::core::InterLinkModel link{options.link, link_credits};
+  link.validate();
   MultiFpgaAccelerator acc;
+  acc.graph = dfc::core::elaborate(spec, options, layer_device, link_credits);
   acc.spec = spec;
   acc.options = options;
-  acc.layer_device = layer_device;
-  acc.link = dfc::core::InterLinkModel{options.link, link_credits};
-  acc.link.validate();
 
-  // One DeviceSim per maximal same-device layer run, in pipeline order.
-  std::size_t li = 0;
-  while (li < spec.layers.size()) {
-    std::size_t seg_end = li + 1;
-    while (seg_end < spec.layers.size() && layer_device[seg_end] == layer_device[li]) {
-      ++seg_end;
+  // One DeviceSim per board of the graph, holding the layers of its cores.
+  for (const dfc::core::GraphNode& node : acc.graph.nodes) {
+    if (node.device == acc.devices.size()) {
+      DeviceSim& dev = acc.devices.emplace_back();
+      dev.device = node.device;
+      dev.first_layer = node.layer;
+      dev.ctx = std::make_unique<SimContext>();
+      dev.ctx->set_idle_limit(kDeviceIdleLimit);
     }
-    DeviceSim dev;
-    dev.device = acc.devices.size();
-    dev.first_layer = li;
-    dev.last_layer = seg_end;
-    dev.ctx = std::make_unique<SimContext>();
-    dev.ctx->set_idle_limit(kDeviceIdleLimit);
-    acc.devices.push_back(std::move(dev));
-    li = seg_end;
+    if (is_compute_core(node.kind)) acc.devices[node.device].last_layer = node.layer + 1;
   }
 
-  const std::size_t num_devices = acc.devices.size();
-  DeviceSim& first = acc.devices.front();
-
-  // DMA MM2S endpoint on the first device (its own bus arbiter: boards do
-  // not share a DMA; when the design collapses to one device the source and
-  // sink contend on that single bus exactly like the single-device builder).
+  // DMA endpoints: the source on the first device, the sink on the last, each
+  // with its own bus arbiter (boards do not share a DMA; when the design
+  // collapses to one device the source and sink contend on that single bus
+  // exactly like the single-device builder).
   if (options.dma_shared_bus) {
-    first.bus = std::make_unique<dfc::core::DmaBus>(options.dma_cycles_per_word);
-  }
-  auto& dma_in = first.ctx->add_fifo<Flit>(device_prefix(0) + "dma.in",
-                                           options.stream_fifo_capacity);
-  acc.source = &first.ctx->add_process<dfc::core::DmaSource>(
-      device_prefix(0) + "dma.source", dma_in, spec.input_shape, options.dma_cycles_per_word,
-      first.bus.get());
-  if (first.bus) first.bus->attach_source(acc.source);
-
-  dfc::core::SegmentStreams cur{{&dma_in}, spec.input_shape};
-
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    DeviceSim& dev = acc.devices[d];
-    if (d > 0) {
-      // Boundary crossing: one Tx/wire/Rx triple per stream port. The Tx
-      // drains the upstream segment's output FIFO; the Rx fills a fresh
-      // ingress FIFO on this device.
-      DeviceSim& up = acc.devices[d - 1];
-      const std::string lname = "L" + std::to_string(dev.first_layer);
-      std::vector<Fifo<Flit>*> linked;
-      linked.reserve(cur.streams.size());
-      for (std::size_t p = 0; p < cur.streams.size(); ++p) {
-        auto wire = std::make_unique<dfc::core::InterLinkWire>(
-            lname + ".wire" + std::to_string(p), acc.link);
-        auto& ingress = dev.ctx->add_fifo<Flit>(
-            device_prefix(d) + lname + ".xfpga" + std::to_string(p),
-            options.stream_fifo_capacity);
-        auto& tx = up.ctx->add_process<dfc::core::InterLinkTx>(
-            device_prefix(d - 1) + lname + ".tx" + std::to_string(p), *cur.streams[p], *wire);
-        auto& rx = dev.ctx->add_process<dfc::core::InterLinkRx>(
-            device_prefix(d) + lname + ".rx" + std::to_string(p), *wire, ingress);
-        wire->bind(&tx, &rx);
-        acc.txs.push_back(&tx);
-        acc.rxs.push_back(&rx);
-        acc.wires.push_back(std::move(wire));
-        linked.push_back(&ingress);
-      }
-      cur.streams = std::move(linked);
+    acc.devices.front().bus = std::make_unique<dfc::core::DmaBus>(options.dma_cycles_per_word);
+    if (acc.devices.size() > 1) {
+      acc.devices.back().bus = std::make_unique<dfc::core::DmaBus>(options.dma_cycles_per_word);
     }
-    cur = dfc::core::append_layer_segment(*dev.ctx, spec, dev.first_layer, dev.last_layer,
-                                          std::move(cur), options, device_prefix(d),
-                                          dev.cores);
   }
-
-  // DMA S2MM endpoint on the last device.
-  DeviceSim& last = acc.devices.back();
-  if (options.dma_shared_bus && num_devices > 1) {
-    last.bus = std::make_unique<dfc::core::DmaBus>(options.dma_cycles_per_word);
+  std::vector<SimContext*> contexts;
+  std::vector<dfc::core::DmaBus*> buses;
+  for (const DeviceSim& dev : acc.devices) {
+    contexts.push_back(dev.ctx.get());
+    buses.push_back(dev.bus.get());
   }
-  const std::string sink_prefix = device_prefix(num_devices - 1);
-  cur.streams = dfc::core::adapt_stream_ports(*last.ctx, sink_prefix + "dma",
-                                              std::move(cur.streams), cur.shape.c, 1,
-                                              options.stream_fifo_capacity);
-  acc.sink = &last.ctx->add_process<dfc::core::DmaSink>(
-      sink_prefix + "dma.sink", *cur.streams[0], cur.shape.volume(),
-      options.dma_cycles_per_word, last.bus.get());
-  if (last.bus) last.bus->attach_sink(acc.sink);
+  dfc::core::instantiate(acc, link, contexts, buses);
   return acc;
 }
 

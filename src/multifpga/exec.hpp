@@ -3,14 +3,14 @@
 // real instead of only priced).
 //
 // build_multi_fpga materialises a `layer_device` mapping as D independent
-// SimContexts — each the full process/FIFO graph of its contiguous layer
-// range, built with the same core::append_layer_segment the single-device
-// builder uses — and connects consecutive devices with core/interlink
-// Tx/wire/Rx triples, one per stream port crossing the boundary. The DMA
-// source lives on the first device, the sink on the last, each with its own
-// shared-bus arbiter (two boards do not share a DMA — which is exactly why a
-// partitioned USPS design reaches the ideal 256-cycle interval the shared
-// single-device bus holds at 266).
+// SimContexts by instantiating the multi-context core::elaborate graph: each
+// context holds the processes and FIFOs of its contiguous layer range, and
+// core/interlink Tx/wire/Rx triples, one per stream port crossing a
+// boundary, connect consecutive devices. The DMA source lives on the first
+// device, the sink on the last, each with its own shared-bus arbiter (two
+// boards do not share a DMA — which is exactly why a partitioned USPS design
+// reaches the ideal 256-cycle interval the shared single-device bus holds
+// at 266).
 //
 // MultiFpgaHarness mirrors AcceleratorHarness: it drives all device clocks
 // in lockstep at one global cycle, converts watchdog trips into partial
@@ -39,29 +39,18 @@ namespace dfc::mfpga {
 /// One simulated board: its own clock domain holding a contiguous layer
 /// range [first_layer, last_layer) of the network.
 struct DeviceSim {
-  std::size_t device = 0;       ///< device index from layer_device
+  std::size_t device = 0;       ///< board index (GraphNode::device)
   std::size_t first_layer = 0;  ///< inclusive
   std::size_t last_layer = 0;   ///< exclusive
   std::unique_ptr<dfc::df::SimContext> ctx;
   std::unique_ptr<dfc::core::DmaBus> bus;  ///< only on DMA endpoint devices
-  dfc::core::SegmentCores cores;
 };
 
-/// A built multi-device design. Raw pointers are stable views into the
-/// per-device contexts, as in core::Accelerator.
-struct MultiFpgaAccelerator {
-  dfc::core::NetworkSpec spec;
-  dfc::core::BuildOptions options;
-  std::vector<std::size_t> layer_device;
-  dfc::core::InterLinkModel link;
-
+/// A built multi-device design: the instantiated graph (source on
+/// devices.front(), sink on devices.back(), one wire per boundary port) plus
+/// the per-device contexts that own its processes and FIFOs.
+struct MultiFpgaAccelerator : dfc::core::DesignInstance {
   std::vector<DeviceSim> devices;
-  dfc::core::DmaSource* source = nullptr;  ///< on devices.front()
-  dfc::core::DmaSink* sink = nullptr;      ///< on devices.back()
-
-  std::vector<std::unique_ptr<dfc::core::InterLinkWire>> wires;
-  std::vector<dfc::core::InterLinkTx*> txs;  ///< parallel to wires
-  std::vector<dfc::core::InterLinkRx*> rxs;  ///< parallel to wires
 
   std::size_t device_count() const { return devices.size(); }
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "core/interlink.hpp"
 
 namespace dfc::mfpga {
 
@@ -40,14 +41,8 @@ dse::TimingEstimate estimate_multi_timing(const NetworkSpec& spec,
               "layer_device must cover every layer");
   dse::TimingEstimate est = dse::estimate_timing(spec);
 
-  // Sustained link rate: the serializer accepts one word per cycles_per_word
-  // cycles, and a finite credit window caps throughput at `credits` words
-  // per 2*latency round trip — whichever is slower binds.
-  std::int64_t cycles_per_word = link.cycles_per_word;
-  if (credits > 0) {
-    cycles_per_word = std::max<std::int64_t>(
-        cycles_per_word, dfc::ceil_div(2 * link.latency_cycles, credits));
-  }
+  const std::int64_t cycles_per_word =
+      dfc::core::InterLinkModel{link, credits}.effective_cycles_per_word();
 
   // Insert a link stage for every device boundary: the crossing carries the
   // producing layer's full output volume per image, split over its ports.

@@ -43,12 +43,9 @@ std::vector<dfc::hw::ResourceUsage> usage_per_device(
     const dfc::core::NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
     std::size_t num_devices, const dfc::hw::CostModel& cost = {});
 
-/// Timing estimate with inter-FPGA link stages for boundary crossings.
-/// `credits > 0` models a credit-limited link (core/interlink): the
-/// sustained rate is one word per max(cycles_per_word,
-/// ceil(2*latency/credits)) cycles, since at most `credits` words fit in a
-/// credit round trip. 0 means an unconstrained (auto-sized) window, i.e.
-/// the serializer rate alone.
+/// Timing estimate with inter-FPGA link stages for boundary crossings, each
+/// sustaining one word per InterLinkModel{link, credits}'s effective cycles
+/// per word (the credit law; credits = 0 is the auto-sized window).
 dse::TimingEstimate estimate_multi_timing(const dfc::core::NetworkSpec& spec,
                                           const std::vector<std::size_t>& layer_device,
                                           const dfc::core::LinkModel& link,

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/activity.hpp"
 
 namespace dfc::obs {
@@ -25,28 +26,6 @@ int entity_pid(EntityKind kind) {
     case EntityKind::kServe: return kServePid;
   }
   return kCorePid;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 class EventWriter {

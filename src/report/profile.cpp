@@ -1,7 +1,6 @@
 #include "report/profile.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,39 +15,40 @@ namespace dfc::report {
 
 namespace {
 
-// A measured core row: its (possibly fpga-prefixed) name, activity split and
-// the observed-cycle total of the context it lives in.
-struct CoreRow {
-  std::string name;
-  dfc::obs::CoreActivity activity;
-  std::uint64_t observed_cycles = 0;
-};
-
-std::string strip_device_prefix(const std::string& name) {
-  if (name.rfind("fpga", 0) != 0) return name;
-  const std::size_t dot = name.find('.');
-  return dot == std::string::npos ? name : name.substr(dot + 1);
+const dfc::obs::CoreActivity& core_activity(dfc::core::NodeKind kind,
+                                           const dfc::df::Process& core) {
+  switch (kind) {
+    case dfc::core::NodeKind::kConv:
+      return static_cast<const dfc::hls::ConvCore&>(core).activity();
+    case dfc::core::NodeKind::kPool:
+      return static_cast<const dfc::hls::PoolCore&>(core).activity();
+    default:
+      return static_cast<const dfc::hls::FcnCore&>(core).activity();
+  }
 }
 
-// Maps Eq. 4 stages to measured cores. A stage like "L1.pool" may fan out to
-// several parallel cores ("L1.pool0", "L1.pool1"); the slowest (most working
-// cycles) one represents the stage — parallel units split the work, so the
-// busiest port is the stage's real pace-setter.
+// Maps Eq. 4 stages to measured cores: stage "L<i>.<kind>" (est.stages[i+1],
+// after "dma-in") is every compute core of layer i. A pool layer fans out to
+// several parallel cores; the slowest (most working cycles) one represents
+// the stage — parallel units split the work, so the busiest port is the
+// stage's real pace-setter. contexts[d] is device d's context.
 std::vector<dfc::obs::StageSample> build_stage_samples(
-    const dfc::dse::TimingEstimate& est, const std::vector<CoreRow>& rows) {
+    const dfc::dse::TimingEstimate& est, const dfc::core::DesignInstance& design,
+    const std::vector<const dfc::df::SimContext*>& contexts) {
   std::vector<dfc::obs::StageSample> stages;
   stages.reserve(est.stages.size());
-  for (const auto& st : est.stages) {
+  for (std::size_t s = 0; s < est.stages.size(); ++s) {
     dfc::obs::StageSample sample;
-    sample.name = st.name;
-    sample.predicted_cycles = st.cycles_per_image;
-    for (const CoreRow& row : rows) {
-      const std::string local = strip_device_prefix(row.name);
-      if (local.rfind(st.name, 0) != 0) continue;
-      if (!sample.has_activity || row.activity.working > sample.activity.working) {
+    sample.name = est.stages[s].name;
+    sample.predicted_cycles = est.stages[s].cycles_per_image;
+    for (std::size_t n = 0; n < design.graph.nodes.size(); ++n) {
+      const dfc::core::GraphNode& node = design.graph.nodes[n];
+      if (!dfc::core::is_compute_core(node.kind) || node.layer + 1 != s) continue;
+      const dfc::obs::CoreActivity& activity = core_activity(node.kind, *design.processes[n]);
+      if (!sample.has_activity || activity.working > sample.activity.working) {
         sample.has_activity = true;
-        sample.activity = row.activity;
-        sample.observed_cycles = row.observed_cycles;
+        sample.activity = activity;
+        sample.observed_cycles = contexts[node.device]->observed_cycles();
       }
     }
     stages.push_back(std::move(sample));
@@ -81,13 +81,6 @@ std::vector<dfc::obs::FifoSample> build_fifo_samples(
   return fifos;
 }
 
-void append_core_rows(const dfc::core::SegmentCores& cores, std::uint64_t observed,
-                      std::vector<CoreRow>& rows) {
-  for (const auto* c : cores.conv_cores) rows.push_back({c->name(), c->activity(), observed});
-  for (const auto* c : cores.pool_cores) rows.push_back({c->name(), c->activity(), observed});
-  for (const auto* c : cores.fcn_cores) rows.push_back({c->name(), c->activity(), observed});
-}
-
 }  // namespace
 
 obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
@@ -115,12 +108,7 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
     in.shared_dma_bus = options.build.dma_shared_bus;
     in.observed_interval = result.steady_interval_cycles();
 
-    std::vector<CoreRow> rows;
-    const std::uint64_t observed = acc.ctx->observed_cycles();
-    for (const auto* c : acc.conv_cores) rows.push_back({c->name(), c->activity(), observed});
-    for (const auto* c : acc.pool_cores) rows.push_back({c->name(), c->activity(), observed});
-    for (const auto* c : acc.fcn_cores) rows.push_back({c->name(), c->activity(), observed});
-    in.stages = build_stage_samples(est, rows);
+    in.stages = build_stage_samples(est, acc, {acc.ctx.get()});
     in.fifos = build_fifo_samples({acc.ctx.get()});
     return obs::analyze_bottleneck(std::move(in));
   }
@@ -149,13 +137,9 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
   in.shared_dma_bus = options.build.dma_shared_bus && in.devices == 1;
   in.observed_interval = result.steady_interval_cycles();
 
-  std::vector<CoreRow> rows;
   std::vector<const dfc::df::SimContext*> contexts;
-  for (const auto& dev : acc.devices) {
-    append_core_rows(dev.cores, dev.ctx->observed_cycles(), rows);
-    contexts.push_back(dev.ctx.get());
-  }
-  in.stages = build_stage_samples(est, rows);
+  for (const auto& dev : acc.devices) contexts.push_back(dev.ctx.get());
+  in.stages = build_stage_samples(est, acc, contexts);
   in.fifos = build_fifo_samples(contexts);
 
   const double gbps = 3.2 / cycles_per_word;

@@ -2,9 +2,9 @@
 //
 // Every problem the verifier can name has a stable code (DF001…), a default
 // severity and a *named location* — the FIFO, process, layer or device the
-// problem lives at — so tooling (CI gates, the DSE rejection filter, editor
-// integrations) can key on codes instead of parsing prose. Codes are grouped
-// by family and are never renumbered:
+// problem lives at — so tooling (CI gates, editor integrations) can key on
+// codes instead of parsing prose. Codes are grouped by family and are never
+// renumbered:
 //
 //   DF0xx  graph structure   (dangling channels, duplicate names, dead stages)
 //   DF1xx  shape & ports     (tensor propagation, interleave divisibility)
@@ -12,9 +12,10 @@
 //   DF3xx  deadlock freedom  (feedback cycles, starved joins, sink demand)
 //   DF4xx  resources         (Table I budget, partition legality)
 //
-// Header-only on purpose: construction paths in core/builder and
-// multifpga/exec throw structured diagnostics (VerifyError) without linking
-// the verifier library, keeping the dependency graph acyclic
+// Header-only on purpose: core's spec and partition rules
+// (core::check_spec, core::check_partition) speak this vocabulary, and
+// NetworkSpec::validate() / core::elaborate throw it as VerifyError, without
+// linking the verifier library — the dependency graph stays acyclic
 // (verify -> core, never core -> verify).
 #pragma once
 
@@ -51,6 +52,7 @@ enum class Code {
   DF103,  ///< weight or bias table size mismatch
   DF104,  ///< element-level filter chain combined with zero-padding
   DF105,  ///< classifier input count does not match upstream volume
+  DF106,  ///< core parameter out of range (accumulator count, activation)
   // --- rate consistency ------------------------------------------------------
   DF201,  ///< FIFO too shallow to sustain one transfer per cycle
   DF202,  ///< inter-device link statically throttles the design interval
@@ -75,6 +77,7 @@ inline const char* code_name(Code c) {
     case Code::DF103: return "DF103";
     case Code::DF104: return "DF104";
     case Code::DF105: return "DF105";
+    case Code::DF106: return "DF106";
     case Code::DF201: return "DF201";
     case Code::DF202: return "DF202";
     case Code::DF203: return "DF203";
@@ -126,10 +129,11 @@ struct Diagnostic {
   }
 };
 
-/// Thrown by construction paths and the pre-flight when a design carries
-/// error-severity diagnostics. A ConfigError subclass, so every existing
-/// catch site keeps working — but callers that know about the verifier can
-/// recover the structured findings instead of parsing what().
+/// Thrown by NetworkSpec::validate() and the builders when a design carries
+/// error-severity diagnostics (all of them, not just the first). A
+/// ConfigError subclass, so every existing catch site keeps working — but
+/// callers that know about the verifier can recover the structured findings
+/// instead of parsing what().
 class VerifyError : public ConfigError {
  public:
   explicit VerifyError(std::vector<Diagnostic> diagnostics)

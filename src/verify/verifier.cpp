@@ -1,98 +1,36 @@
 #include "verify/verifier.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
-#include <variant>
 
-#include "common/math_util.hpp"
-#include "core/preflight.hpp"
+#include "common/json.hpp"
+#include "dse/throughput_model.hpp"
+#include "multifpga/partition.hpp"
 
 namespace dfc::verify {
 
 using dfc::core::BuildOptions;
-using dfc::core::ConvLayerSpec;
-using dfc::core::FcnLayerSpec;
+using dfc::core::DesignGraph;
 using dfc::core::NetworkSpec;
-using dfc::core::PoolLayerSpec;
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+std::string fmt_units(double v) { return std::to_string(static_cast<std::int64_t>(v + 0.5)); }
+
+std::size_t count(const std::vector<Diagnostic>& ds, Severity severity) {
+  return static_cast<std::size_t>(std::count_if(
+      ds.begin(), ds.end(), [severity](const Diagnostic& d) { return d.severity == severity; }));
 }
 
-std::string fmt_units(double v) {
-  std::ostringstream os;
-  os << static_cast<std::int64_t>(v + 0.5);
-  return os.str();
-}
+// --- rate consistency ---------------------------------------------------------
 
-bool has_errors(const std::vector<Diagnostic>& ds) {
-  return std::any_of(ds.begin(), ds.end(),
-                     [](const Diagnostic& d) { return d.severity == Severity::kError; });
-}
-
-// --- rate consistency (Eq. 4 mirror) -----------------------------------------
-//
-// Reimplements dse::estimate_timing's per-stage cycles so dfcnn_verify stays
-// below dse in the dependency graph (dse's rejection filter links verify).
-// test_verify cross-validates both against each other for every preset.
-
-std::int64_t layer_cycles_per_image(const dfc::core::LayerSpec& layer) {
-  if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-    const std::int64_t ingest = conv->in_shape.plane() * conv->in_shape.c / conv->in_ports;
-    const std::int64_t compute = conv->out_shape().plane() * conv->initiation_interval();
-    return std::max(ingest, compute);
-  }
-  if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-    return pool->in_shape.plane() * pool->in_shape.c / pool->ports;
-  }
-  const auto& fcn = std::get<FcnLayerSpec>(layer);
-  return std::max(fcn.in_count, fcn.out_count);
-}
-
-/// Sustained link rate under the credit protocol: one word per
-/// cycles_per_word, unless a finite window caps it at `credits` words per
-/// 2*latency round trip (the same expression as estimate_multi_timing).
-std::int64_t effective_cycles_per_word(const dfc::core::LinkModel& link, int credits) {
-  std::int64_t cpw = link.cycles_per_word;
-  if (credits > 0) {
-    cpw = std::max<std::int64_t>(cpw, dfc::ceil_div(2 * link.latency_cycles, credits));
-  }
-  return cpw;
-}
-
-/// Emits DF201/DF202/DF203 and returns the design interval (Eq. 4 max over
-/// stages, including link stages at every device boundary). Requires a spec
+/// Emits DF201/DF202/DF203 and returns the design interval: the Eq. 4 model
+/// (dse::estimate_timing), with a link stage at every device boundary
+/// (mfpga::estimate_multi_timing) when `layer_device` is set. Requires a spec
 /// that passed check_spec with no errors.
 std::int64_t check_rates(const NetworkSpec& spec, const BuildOptions& options,
                          const std::vector<std::size_t>& layer_device, int credits,
                          std::vector<Diagnostic>& out) {
-  std::int64_t interval = spec.input_shape.volume();  // dma-in
-  for (const auto& layer : spec.layers) {
-    interval = std::max(interval, layer_cycles_per_image(layer));
-  }
-  interval = std::max(interval, spec.output_shape().volume());  // dma-out
-
   // FIFO depth sufficiency: under the two-phase update a push lands at the
   // end of the cycle, so a capacity-1 channel cannot hold one word in flight
   // while the producer prepares the next — every transfer alternates with a
@@ -113,70 +51,53 @@ std::int64_t check_rates(const NetworkSpec& spec, const BuildOptions& options,
   check_capacity(options.stream_fifo_capacity, "stream-fifo");
   check_capacity(options.window_fifo_capacity, "window-fifo");
 
-  if (!layer_device.empty() && layer_device.size() == spec.layers.size()) {
-    const std::int64_t cpw = effective_cycles_per_word(options.link, credits);
+  if (layer_device.empty()) return dfc::dse::estimate_timing(spec).interval_cycles;
 
-    // Credit window vs round trip: below ceil(2*latency/cpw)+2 the Tx idles
-    // waiting for returns and the serializer cannot sustain its rate (the
-    // conservation argument in core/interlink.hpp).
-    if (credits > 0) {
-      const int needed = dfc::core::InterLinkModel{options.link, 0}.effective_credits();
-      if (credits < needed) {
-        out.push_back({Code::DF203, "interlink",
-                       "credit window " + std::to_string(credits) +
-                           " is below the full round trip (" + std::to_string(needed) +
-                           " credits); the link throttles to one word per " +
-                           std::to_string(cpw) + " cycles"});
-      }
-    }
-
-    Shape3 shape = spec.input_shape;
-    for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-      shape = dfc::core::layer_out_shape(spec.layers[i]);
-      if (i + 1 < spec.layers.size() && layer_device[i + 1] != layer_device[i]) {
-        const int ports = dfc::core::layer_out_ports(spec.layers[i]);
-        const std::int64_t link_cycles = dfc::ceil_div(shape.volume(), ports) * cpw;
-        const std::string entity = "link" + std::to_string(i) + "->" + std::to_string(i + 1);
-        if (link_cycles > interval) {
-          out.push_back({Code::DF202, entity,
-                         "link sustains " + std::to_string(link_cycles) +
-                             " cycles/image, throttling the compute interval of " +
-                             std::to_string(interval)});
-        }
-        interval = std::max(interval, link_cycles);
-      }
+  // Credit window vs round trip: below ceil(2*latency/cpw)+2 the Tx idles
+  // waiting for returns and the serializer cannot sustain its rate (the
+  // conservation argument in core/interlink.hpp).
+  if (credits > 0) {
+    const int needed = dfc::core::InterLinkModel{options.link, 0}.effective_credits();
+    if (credits < needed) {
+      out.push_back({Code::DF203, "interlink",
+                     "credit window " + std::to_string(credits) +
+                         " is below the full round trip (" + std::to_string(needed) +
+                         " credits); the link throttles to one word per " +
+                         std::to_string(dfc::core::InterLinkModel{options.link, credits}
+                                            .effective_cycles_per_word()) +
+                         " cycles"});
     }
   }
-  return interval;
+
+  // estimate_multi_timing appends one "link<i>-><i+1>" stage per boundary
+  // after the compute stages; each link that is slower than every stage
+  // before it throttles the design.
+  const dfc::dse::TimingEstimate est =
+      dfc::mfpga::estimate_multi_timing(spec, layer_device, options.link, credits);
+  const std::size_t compute_stages = spec.layers.size() + 2;  // dma-in, layers, dma-out
+  std::int64_t interval = 0;
+  for (std::size_t i = 0; i < est.stages.size(); ++i) {
+    const dfc::dse::StageTiming& st = est.stages[i];
+    if (i >= compute_stages && st.cycles_per_image > interval) {
+      out.push_back({Code::DF202, st.name,
+                     "link sustains " + std::to_string(st.cycles_per_image) +
+                         " cycles/image, throttling the compute interval of " +
+                         std::to_string(interval)});
+    }
+    interval = std::max(interval, st.cycles_per_image);
+  }
+  return est.interval_cycles;
 }
 
-// --- resource budget (Table I mirror) ----------------------------------------
-
-/// Per-device calibrated usage, mirroring mfpga::usage_per_device (which
-/// verify cannot link — multifpga links verify). Devices hosting at least one
-/// layer also carry the MicroBlaze/DMA base design.
-std::vector<dfc::hw::ResourceUsage> usage_by_device(
-    const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-    std::size_t num_devices, const dfc::hw::CostModel& cost) {
-  std::vector<dfc::hw::ResourceUsage> usage(num_devices);
-  std::vector<bool> hosts_layer(num_devices, false);
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    const std::size_t d = i < layer_device.size() ? layer_device[i] : 0;
-    usage[d] += dfc::hw::estimate_layer(spec.layers[i], cost);
-    hosts_layer[d] = true;
-  }
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    usage[d].lut *= cost.lut_calibration;
-    usage[d].ff *= cost.ff_calibration;
-    if (hosts_layer[d]) usage[d] += cost.base_design;
-  }
-  return usage;
-}
+// --- resource budget (Table I) -----------------------------------------------
 
 void check_budget(const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
                   std::size_t num_devices, const VerifyOptions& vopts,
                   std::vector<Diagnostic>& out) {
-  const auto usage = usage_by_device(spec, layer_device, num_devices, vopts.cost_model);
+  const auto usage = dfc::mfpga::usage_per_device(
+      spec,
+      layer_device.empty() ? std::vector<std::size_t>(spec.layers.size(), 0) : layer_device,
+      num_devices, vopts.cost_model);
   const dfc::hw::Device& dev = vopts.device;
   for (std::size_t d = 0; d < num_devices; ++d) {
     const dfc::hw::ResourceUsage& u = usage[d];
@@ -208,149 +129,7 @@ void check_budget(const NetworkSpec& spec, const std::vector<std::size_t>& layer
   }
 }
 
-/// Partition legality (DF403). `require_monotone` matches build_multi_fpga's
-/// contract; the single-context builder only needs coverage.
-bool check_partition(const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-                     bool require_monotone, std::vector<Diagnostic>& out) {
-  if (layer_device.size() != spec.layers.size()) {
-    out.push_back({Code::DF403, "partition",
-                   "layer_device has " + std::to_string(layer_device.size()) +
-                       " entries for " + std::to_string(spec.layers.size()) + " layer(s)"});
-    return false;
-  }
-  bool ok = true;
-  if (require_monotone) {
-    for (std::size_t i = 1; i < layer_device.size(); ++i) {
-      if (layer_device[i] < layer_device[i - 1]) {
-        out.push_back({Code::DF403, "L" + std::to_string(i),
-                       "device assignment goes backwards (" +
-                           std::to_string(layer_device[i - 1]) + " -> " +
-                           std::to_string(layer_device[i]) +
-                           "); the design is a forward pipeline"});
-        ok = false;
-        break;
-      }
-    }
-  }
-  return ok;
-}
-
 }  // namespace
-
-// --- spec checks (DF1xx) -----------------------------------------------------
-
-std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
-  std::vector<Diagnostic> out;
-  if (spec.layers.empty()) {
-    out.push_back({Code::DF101, "network", "network has no layers"});
-    return out;
-  }
-
-  Shape3 shape = spec.input_shape;
-  if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
-    out.push_back({Code::DF101, "network", "input shape " + shape.str() + " is not positive"});
-    return out;
-  }
-
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    const auto& layer = spec.layers[i];
-    const std::string where = "L" + std::to_string(i);
-
-    if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      if (!(conv->in_shape == shape)) {
-        out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
-                                               " got " + conv->in_shape.str()});
-      }
-      if (conv->in_ports <= 0 || conv->out_ports <= 0) {
-        out.push_back({Code::DF102, where, "port counts must be positive"});
-        shape = conv->out_shape();
-        continue;
-      }
-      if (shape.c % conv->in_ports != 0) {
-        out.push_back({Code::DF102, where,
-                       "IN_FM (" + std::to_string(shape.c) + ") not divisible by IN_PORTS (" +
-                           std::to_string(conv->in_ports) + ")"});
-      }
-      if (conv->out_fm % conv->out_ports != 0) {
-        out.push_back({Code::DF102, where,
-                       "OUT_FM (" + std::to_string(conv->out_fm) +
-                           ") not divisible by OUT_PORTS (" +
-                           std::to_string(conv->out_ports) + ")"});
-      }
-      const std::int64_t want_w = conv->out_fm * conv->in_shape.c * conv->kh * conv->kw;
-      if (static_cast<std::int64_t>(conv->weights.size()) != want_w) {
-        out.push_back({Code::DF103, where,
-                       "weight table has " + std::to_string(conv->weights.size()) +
-                           " entries, expected " + std::to_string(want_w)});
-      }
-      if (static_cast<std::int64_t>(conv->biases.size()) != conv->out_fm) {
-        out.push_back({Code::DF103, where,
-                       "bias table has " + std::to_string(conv->biases.size()) +
-                           " entries, expected " + std::to_string(conv->out_fm)});
-      }
-      if (conv->pad > 0 && conv->use_filter_chain) {
-        out.push_back({Code::DF104, where,
-                       "the element-level filter chain supports only P = 0 "
-                       "(zero-padding needs the fused memory structure)"});
-      }
-      shape = conv->out_shape();
-    } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-      if (!(pool->in_shape == shape)) {
-        out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
-                                               " got " + pool->in_shape.str()});
-      }
-      if (pool->ports <= 0) {
-        out.push_back({Code::DF102, where, "pool core count must be positive"});
-        shape = pool->out_shape();
-        continue;
-      }
-      if (shape.c % pool->ports != 0) {
-        out.push_back({Code::DF102, where,
-                       "channels (" + std::to_string(shape.c) + ") not divisible by cores (" +
-                           std::to_string(pool->ports) + ")"});
-      }
-      shape = pool->out_shape();
-    } else {
-      const auto& fcn = std::get<FcnLayerSpec>(layer);
-      if (fcn.in_count != shape.volume()) {
-        out.push_back({Code::DF105, where,
-                       "classifier expects " + std::to_string(fcn.in_count) +
-                           " inputs but upstream delivers " + std::to_string(shape.volume())});
-      }
-      if (static_cast<std::int64_t>(fcn.weights.size()) != fcn.in_count * fcn.out_count) {
-        out.push_back({Code::DF103, where,
-                       "weight table has " + std::to_string(fcn.weights.size()) +
-                           " entries, expected " + std::to_string(fcn.in_count * fcn.out_count)});
-      }
-      if (static_cast<std::int64_t>(fcn.biases.size()) != fcn.out_count) {
-        out.push_back({Code::DF103, where,
-                       "bias table has " + std::to_string(fcn.biases.size()) +
-                           " entries, expected " + std::to_string(fcn.out_count)});
-      }
-      shape = fcn.out_shape();
-    }
-
-    if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
-      out.push_back({Code::DF101, where, "output shape " + shape.str() + " is not positive"});
-      return out;  // downstream shapes are meaningless
-    }
-
-    // Divisibility between consecutive port counts, required by the
-    // round-robin interleave (Sec. IV-A).
-    if (i > 0) {
-      const int up = dfc::core::layer_out_ports(spec.layers[i - 1]);
-      const int down = dfc::core::layer_in_ports(layer);
-      if (up > 0 && down > 0 &&
-          !(up == down || (up < down && down % up == 0) || (up > down && up % down == 0))) {
-        out.push_back({Code::DF102, where,
-                       "incompatible port counts " + std::to_string(up) + " -> " +
-                           std::to_string(down) + " (round-robin interleave needs one to "
-                           "divide the other)"});
-      }
-    }
-  }
-  return out;
-}
 
 // --- graph checks (DF0xx, DF3xx) ---------------------------------------------
 
@@ -474,8 +253,15 @@ VerifyReport verify_graph(const DesignGraph& graph) {
 
 namespace {
 
-void append(VerifyReport& r, std::vector<Diagnostic> ds) {
+std::size_t devices_used(const std::vector<std::size_t>& layer_device) {
+  return layer_device.empty() ? 1 : *std::max_element(layer_device.begin(), layer_device.end()) + 1;
+}
+
+/// Appends `ds` to the report; true when none of them is an error.
+bool append(VerifyReport& r, std::vector<Diagnostic> ds) {
+  const bool ok = count(ds, Severity::kError) == 0;
   for (auto& d : ds) r.diagnostics.push_back(std::move(d));
+  return ok;
 }
 
 void merge_graph_checks(VerifyReport& r, const DesignGraph& graph) {
@@ -492,28 +278,23 @@ VerifyReport verify_design(const NetworkSpec& spec, const BuildOptions& options,
   VerifyReport r;
   r.design = spec.name;
 
-  std::vector<Diagnostic> specd = check_spec(spec);
-  const bool shapes_ok = !has_errors(specd);
-  append(r, std::move(specd));
+  const bool shapes_ok = append(r, dfc::core::check_spec(spec));
 
-  std::vector<std::size_t> layer_device;
-  if (!options.layer_device.empty()) {
-    if (check_partition(spec, options.layer_device, /*require_monotone=*/false,
-                        r.diagnostics)) {
-      layer_device = options.layer_device;
-    }
+  // The single-context builder only needs the cut to cover every layer.
+  BuildOptions checked = options;
+  if (!options.layer_device.empty() &&
+      !append(r, dfc::core::check_partition(spec, options.layer_device,
+                                                    /*require_monotone=*/false))) {
+    checked.layer_device.clear();
   }
-  r.devices = 1;
-  for (std::size_t d : layer_device) r.devices = std::max(r.devices, d + 1);
+  r.devices = devices_used(checked.layer_device);
 
   if (!shapes_ok) return r;  // rate/graph/budget math is meaningless on broken shapes
 
   r.predicted_interval_cycles =
-      check_rates(spec, options, layer_device, /*credits=*/0, r.diagnostics);
-  merge_graph_checks(r, build_design_graph(spec, options));
-  if (vopts.check_resources) {
-    check_budget(spec, layer_device, r.devices, vopts, r.diagnostics);
-  }
+      check_rates(spec, checked, checked.layer_device, /*credits=*/0, r.diagnostics);
+  merge_graph_checks(r, dfc::core::elaborate(spec, checked));
+  check_budget(spec, checked.layer_device, r.devices, vopts, r.diagnostics);
   return r;
 }
 
@@ -524,16 +305,10 @@ VerifyReport verify_design_multi(const NetworkSpec& spec,
   VerifyReport r;
   r.design = spec.name;
 
-  std::vector<Diagnostic> specd = check_spec(spec);
-  const bool shapes_ok = !has_errors(specd);
-  append(r, std::move(specd));
-
-  const bool partition_ok =
-      check_partition(spec, layer_device, /*require_monotone=*/true, r.diagnostics);
-  r.devices = 1;
-  if (partition_ok) {
-    for (std::size_t d : layer_device) r.devices = std::max(r.devices, d + 1);
-  }
+  const bool shapes_ok = append(r, dfc::core::check_spec(spec));
+  const bool partition_ok = append(
+      r, dfc::core::check_partition(spec, layer_device, /*require_monotone=*/true));
+  r.devices = partition_ok ? devices_used(layer_device) : 1;
   if (link_credits < 0) {
     r.diagnostics.push_back({Code::DF203, "interlink", "credit count must be non-negative"});
   }
@@ -541,26 +316,15 @@ VerifyReport verify_design_multi(const NetworkSpec& spec,
 
   r.predicted_interval_cycles =
       check_rates(spec, options, layer_device, link_credits, r.diagnostics);
-  merge_graph_checks(r, build_design_graph_multi(spec, layer_device, options, link_credits));
-  if (vopts.check_resources) {
-    check_budget(spec, layer_device, r.devices, vopts, r.diagnostics);
-  }
+  merge_graph_checks(r, dfc::core::elaborate(spec, options, layer_device, link_credits));
+  check_budget(spec, layer_device, r.devices, vopts, r.diagnostics);
   return r;
 }
 
 // --- report rendering --------------------------------------------------------
 
-std::size_t VerifyReport::errors() const {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics.begin(), diagnostics.end(),
-                    [](const Diagnostic& d) { return d.severity == Severity::kError; }));
-}
-
-std::size_t VerifyReport::warnings() const {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics.begin(), diagnostics.end(),
-                    [](const Diagnostic& d) { return d.severity == Severity::kWarning; }));
-}
+std::size_t VerifyReport::errors() const { return count(diagnostics, Severity::kError); }
+std::size_t VerifyReport::warnings() const { return count(diagnostics, Severity::kWarning); }
 
 bool VerifyReport::has(Code code) const {
   return std::any_of(diagnostics.begin(), diagnostics.end(),
@@ -597,47 +361,6 @@ std::string VerifyReport::to_json() const {
   }
   os << "]}";
   return os.str();
-}
-
-void VerifyReport::throw_if_errors() const {
-  std::vector<Diagnostic> errs;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == Severity::kError) errs.push_back(d);
-  }
-  if (!errs.empty()) throw VerifyError(std::move(errs));
-}
-
-// --- pre-flight hook ---------------------------------------------------------
-
-namespace {
-
-void preflight_single(const NetworkSpec& spec, const BuildOptions& options) {
-  VerifyOptions vopts;
-  vopts.check_resources = false;  // budget overruns are advisory at build time
-  verify_design(spec, options, vopts).throw_if_errors();
-}
-
-void preflight_multi(const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-                     const BuildOptions& options, int link_credits) {
-  VerifyOptions vopts;
-  vopts.check_resources = false;
-  verify_design_multi(spec, layer_device, options, link_credits, vopts).throw_if_errors();
-}
-
-// Linking dfcnn_verify is opting in: the hooks are live (though dormant until
-// BuildOptions::preflight_verify is set).
-const bool g_registered = [] {
-  dfc::core::set_preflight_hook(&preflight_single);
-  dfc::core::set_multi_preflight_hook(&preflight_multi);
-  return true;
-}();
-
-}  // namespace
-
-void install_preflight() {
-  (void)g_registered;
-  dfc::core::set_preflight_hook(&preflight_single);
-  dfc::core::set_multi_preflight_hook(&preflight_multi);
 }
 
 }  // namespace dfc::verify

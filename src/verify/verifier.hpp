@@ -10,7 +10,7 @@
 //   1. graph structure    — dangling/unbound channels, duplicate names,
 //                           unreachable stages (DF001–DF004);
 //   2. shape propagation  — tensor shapes, interleave divisibility, weight
-//                           table widths (DF101–DF105);
+//                           table widths, core parameters (DF101–DF106);
 //   3. rate consistency   — per-stage Eq. 4 cycles, FIFOs/links that
 //                           statically throttle the design II (DF201–DF203);
 //   4. deadlock freedom   — sink word demand vs delivery, feedback cycles
@@ -19,10 +19,13 @@
 //   5. resource budget    — Table I model vs the device, per partition
 //                           segment (DF401–DF403).
 //
-// The verifier never throws on a bad design — it *reports*. It is wired in
-// three places: the `dfcnn check` CLI, the opt-in pre-flight of
-// AcceleratorHarness / mfpga::build_multi_fpga (BuildOptions::preflight_verify),
-// and the DSE candidate filter (DseOptions::verify_candidates).
+// Every check reads the one source of truth for its concept: the spec and
+// partition rules in core (check_spec, check_partition — the same rules
+// NetworkSpec::validate() throws), the graph core::elaborate derives and the
+// builders instantiate, the Eq. 4 model (dse::estimate_timing and
+// mfpga::estimate_multi_timing) and the Table I model
+// (mfpga::usage_per_device). The verifier never throws on a bad design — it
+// *reports*; `dfcnn check` is its CLI.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +33,11 @@
 #include <vector>
 
 #include "core/builder.hpp"
-#include "core/interlink.hpp"
+#include "core/elaborate.hpp"
 #include "core/network_spec.hpp"
 #include "hwmodel/cost_model.hpp"
 #include "hwmodel/device.hpp"
 #include "verify/diagnostics.hpp"
-#include "verify/graph.hpp"
 
 namespace dfc::verify {
 
@@ -44,9 +46,6 @@ struct VerifyOptions {
   dfc::hw::CostModel cost_model{};
   /// Utilization fraction above which DF402 warns (errors start at 1.0).
   double headroom_warn_fraction = 0.90;
-  /// Table I budget checks can be disabled for pure-structure verification
-  /// (e.g. DSE candidates are budget-checked by the explorer itself).
-  bool check_resources = true;
 };
 
 /// The machine-readable verdict: every diagnostic plus the design facts the
@@ -70,9 +69,6 @@ struct VerifyReport {
   std::string render() const;
   /// Deterministic JSON for tooling and CI gates.
   std::string to_json() const;
-  /// Throws VerifyError carrying the error-severity diagnostics; no-op when
-  /// clean. The fail-fast half of the pre-flight.
-  void throw_if_errors() const;
 };
 
 /// Verifies a single-context design (build_accelerator topology, including
@@ -90,18 +86,7 @@ VerifyReport verify_design_multi(const dfc::core::NetworkSpec& spec,
                                  int link_credits = 0, const VerifyOptions& vopts = {});
 
 /// Structural checks only (DF001–DF004, DF301–DF302) over an arbitrary
-/// graph — the entry point for hand-built topologies in tests and for
-/// pre-flighting hand-assembled accelerators.
-VerifyReport verify_graph(const DesignGraph& graph);
-
-/// Spec-level checks only (DF101–DF105 + DF403 when layer_device is set):
-/// the cheap subset the DSE rejection filter runs per candidate.
-std::vector<Diagnostic> check_spec(const dfc::core::NetworkSpec& spec);
-
-/// Registers the verifier as core's build-time pre-flight hook, honoured by
-/// AcceleratorHarness when BuildOptions::preflight_verify is set. Linking
-/// this library installs it automatically (static registrar); calling it
-/// again is a cheap no-op.
-void install_preflight();
+/// graph — the entry point for hand-built topologies in tests.
+VerifyReport verify_graph(const dfc::core::DesignGraph& graph);
 
 }  // namespace dfc::verify

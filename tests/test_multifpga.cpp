@@ -346,6 +346,11 @@ void expect_multi_matches_single(const dfc::core::NetworkSpec& spec, std::size_t
   opts.link = link;
   MultiFpgaHarness multi(build_multi_fpga(spec, plan.layer_device, opts));
   ASSERT_EQ(multi.device_count(), devices);
+  for (const DeviceSim& dev : multi.accelerator().devices) {  // each board holds its run
+    for (std::size_t li = 0; li < spec.layers.size(); ++li) {
+      EXPECT_EQ(li >= dev.first_layer && li < dev.last_layer, plan.layer_device[li] == dev.device);
+    }
+  }
 
   const auto images = dfc::report::random_images(spec, batch);
   const auto rs = single.run_batch(images);

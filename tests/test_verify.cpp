@@ -2,24 +2,26 @@
 // design per diagnostic code (asserted by code, never by message text), the
 // deadlock cross-validation suite (every deadlock-class diagnostic has a sim
 // twin that reaches RunStatus::kDeadlock in the cycle engine; clean presets
-// simulate with unchanged logits), graph-vs-builder name equivalence, the
-// Eq. 4 interval cross-check against dse/multifpga, deterministic JSON, the
-// promoted builder/exec diagnostics, the opt-in pre-flight, and the DSE
-// rejection filter.
+// simulate with unchanged logits), the spec rules shared by validate() and
+// the verifier, the realization of core::elaborate's graph by the builders,
+// deterministic JSON, the structured builder/exec diagnostics, and pins of
+// the verifier JSON and the builders' registration order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/harness.hpp"
-#include "core/preflight.hpp"
 #include "core/presets.hpp"
 #include "dataflow/endpoints.hpp"
-#include "dse/explorer.hpp"
-#include "dse/throughput_model.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
 #include "report/experiments.hpp"
@@ -32,8 +34,10 @@ namespace {
 using dfc::axis::Flit;
 using dfc::core::BuildOptions;
 using dfc::core::ConvLayerSpec;
+using dfc::core::DesignGraph;
 using dfc::core::FcnLayerSpec;
 using dfc::core::NetworkSpec;
+using dfc::core::NodeKind;
 using dfc::core::PoolLayerSpec;
 using dfc::core::RunStatus;
 using dfc::df::Fifo;
@@ -146,11 +150,11 @@ TEST(VerifyCodesTest, DF203CreditWindowBelowRoundTrip) {
 
 TEST(VerifyCodesTest, DF001DanglingProducer) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
+  const int src = g.add_node("src", NodeKind::kDmaSource);
   const int ch = g.add_channel("fed", 4);
   g.bind_producer(ch, src);
   const int orphan = g.add_channel("orphan", 4);
-  const int sink = g.add_node("sink", "dma-sink");
+  const int sink = g.add_node("sink", NodeKind::kDmaSink);
   g.bind_consumer(ch, sink);
   g.bind_consumer(orphan, sink);
   const auto r = verify_graph(g);
@@ -160,7 +164,7 @@ TEST(VerifyCodesTest, DF001DanglingProducer) {
 
 TEST(VerifyCodesTest, DF002DanglingConsumer) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
+  const int src = g.add_node("src", NodeKind::kDmaSource);
   const int ch = g.add_channel("dead-end", 4);
   g.bind_producer(ch, src);
   EXPECT_TRUE(verify_graph(g).has(Code::DF002));
@@ -168,8 +172,8 @@ TEST(VerifyCodesTest, DF002DanglingConsumer) {
 
 TEST(VerifyCodesTest, DF003DuplicateName) {
   DesignGraph g;
-  const int a = g.add_node("stage", "conv");
-  const int b = g.add_node("stage", "pool");
+  const int a = g.add_node("stage", NodeKind::kConv);
+  const int b = g.add_node("stage", NodeKind::kPool);
   const int ch = g.add_channel("ch", 4);
   g.bind_producer(ch, a);
   g.bind_consumer(ch, b);
@@ -178,14 +182,14 @@ TEST(VerifyCodesTest, DF003DuplicateName) {
 
 TEST(VerifyCodesTest, DF004UnreachableStage) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int sink = g.add_node("sink", "dma-sink");
+  const int src = g.add_node("src", NodeKind::kDmaSource);
+  const int sink = g.add_node("sink", NodeKind::kDmaSink);
   const int ch = g.add_channel("main", 4);
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   // Two stages feeding each other, cut off from the source.
-  const int a = g.add_node("islandA", "conv");
-  const int b = g.add_node("islandB", "conv");
+  const int a = g.add_node("islandA", NodeKind::kConv);
+  const int b = g.add_node("islandB", NodeKind::kConv);
   const int f = g.add_channel("island.fwd", 4);
   const int r = g.add_channel("island.back", 4);
   g.bind_producer(f, a);
@@ -199,9 +203,9 @@ TEST(VerifyCodesTest, DF004UnreachableStage) {
 
 TEST(VerifyCodesTest, DF301SinkDemandExceedsDelivery) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
+  const int src = g.add_node("src", NodeKind::kDmaSource);
   const int ch = g.add_channel("ch", 4);
-  const int sink = g.add_node("sink", "dma-sink");
+  const int sink = g.add_node("sink", NodeKind::kDmaSink);
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   g.nodes[static_cast<std::size_t>(sink)].demand_per_image = 5;
@@ -215,10 +219,10 @@ TEST(VerifyCodesTest, DF302FeedbackCycle) {
   // src -> merge -> demux -> sink, with demux feeding one output back into
   // the merge: a token-free feedback loop.
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int merge = g.add_node("merge", "merge");
-  const int demux = g.add_node("demux", "demux");
-  const int sink = g.add_node("sink", "dma-sink");
+  const int src = g.add_node("src", NodeKind::kDmaSource);
+  const int merge = g.add_node("merge", NodeKind::kMerge);
+  const int demux = g.add_node("demux", NodeKind::kDemux);
+  const int sink = g.add_node("sink", NodeKind::kDmaSink);
   const int in = g.add_channel("src.out", 4);
   const int merged = g.add_channel("merged", 4);
   const int out = g.add_channel("out", 4);
@@ -277,12 +281,12 @@ TEST(VerifyDeadlockTest, DanglingProducerDeadlocksInSim) {
   // the merge wedges after one value. verify_graph flags the orphan as DF001;
   // the cycle engine reaches RunStatus::kDeadlock on the twin.
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
+  const int src = g.add_node("dma.source", NodeKind::kDmaSource);
   const int fed = g.add_channel("fed", 8);
   const int orphan = g.add_channel("orphan", 8);
-  const int merge = g.add_node("merge", "merge");
+  const int merge = g.add_node("merge", NodeKind::kMerge);
   const int merged = g.add_channel("merged", 8);
-  const int sink = g.add_node("dma.sink", "dma-sink");
+  const int sink = g.add_node("dma.sink", NodeKind::kDmaSink);
   g.bind_producer(fed, src);
   g.bind_consumer(fed, merge);
   g.bind_consumer(orphan, merge);
@@ -309,9 +313,9 @@ TEST(VerifyDeadlockTest, SinkDemandMismatchDeadlocksInSim) {
   // Pipeline delivers 4 words/image; the sink insists on 5. DF301 statically,
   // kDeadlock dynamically (the sink waits forever for the fifth word).
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
+  const int src = g.add_node("dma.source", NodeKind::kDmaSource);
   const int ch = g.add_channel("dma.in", 8);
-  const int sink = g.add_node("dma.sink", "dma-sink");
+  const int sink = g.add_node("dma.sink", NodeKind::kDmaSink);
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   g.nodes[static_cast<std::size_t>(sink)].demand_per_image = 5;
@@ -335,10 +339,10 @@ TEST(VerifyDeadlockTest, FeedbackCycleDeadlocksInSim) {
   // the feedback FIFO. The merge blocks on the empty feedback channel after
   // one value — a circular wait the idle watchdog converts to kDeadlock.
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
-  const int merge = g.add_node("merge", "merge");
-  const int demux = g.add_node("demux", "demux");
-  const int sink = g.add_node("dma.sink", "dma-sink");
+  const int src = g.add_node("dma.source", NodeKind::kDmaSource);
+  const int merge = g.add_node("merge", NodeKind::kMerge);
+  const int demux = g.add_node("demux", NodeKind::kDemux);
+  const int sink = g.add_node("dma.sink", NodeKind::kDmaSink);
   const int in = g.add_channel("dma.in", 8);
   const int merged = g.add_channel("merged", 8);
   const int out = g.add_channel("out", 8);
@@ -414,90 +418,6 @@ TEST(VerifyCleanTest, CleanDesignSimulatesWithUnchangedLogits) {
   EXPECT_EQ(rs.outputs, rm.outputs) << "verified-clean cuts must not change logits";
 }
 
-// --- graph elaboration mirrors the builder name for name ---------------------
-
-TEST(VerifyGraphMirrorTest, SingleContextNamesMatchBuilder) {
-  for (const auto& spec : {dfc::core::make_usps_preset().compile_spec(),
-                           dfc::core::make_cifar_preset().compile_spec()}) {
-    const DesignGraph g = build_design_graph(spec);
-    const auto acc = dfc::core::build_accelerator(spec);
-
-    std::set<std::string> graph_fifos, ctx_fifos;
-    for (const auto& c : g.channels) graph_fifos.insert(c.name);
-    for (std::size_t i = 0; i < acc.ctx->fifo_count(); ++i) {
-      ctx_fifos.insert(acc.ctx->fifo(i).name());
-    }
-    EXPECT_EQ(graph_fifos, ctx_fifos) << spec.name;
-
-    std::set<std::string> graph_nodes, ctx_procs;
-    for (const auto& n : g.nodes) graph_nodes.insert(n.name);
-    for (std::size_t i = 0; i < acc.ctx->process_count(); ++i) {
-      ctx_procs.insert(acc.ctx->process(i).name());
-    }
-    EXPECT_EQ(graph_nodes, ctx_procs) << spec.name;
-  }
-}
-
-TEST(VerifyGraphMirrorTest, MultiContextNamesMatchExecutor) {
-  const auto spec = dfc::core::make_usps_preset().compile_spec();
-  const auto plan = dfc::mfpga::partition_network_exact(spec, 2, {});
-  const DesignGraph g = build_design_graph_multi(spec, plan.layer_device, {});
-  const auto acc = dfc::mfpga::build_multi_fpga(spec, plan.layer_device, {});
-
-  std::set<std::string> ctx_fifos, wire_names;
-  for (const auto& dev : acc.devices) {
-    for (std::size_t i = 0; i < dev.ctx->fifo_count(); ++i) {
-      ctx_fifos.insert(dev.ctx->fifo(i).name());
-    }
-  }
-  for (const auto& w : acc.wires) wire_names.insert(w->name());
-
-  std::set<std::string> graph_fifos, graph_wires;
-  for (const auto& c : g.channels) {
-    if (c.name.find(".wire") != std::string::npos) {
-      graph_wires.insert(c.name);
-    } else {
-      graph_fifos.insert(c.name);
-    }
-  }
-  EXPECT_EQ(graph_fifos, ctx_fifos);
-  EXPECT_EQ(graph_wires, wire_names);
-
-  std::set<std::string> graph_nodes, ctx_procs;
-  for (const auto& n : g.nodes) graph_nodes.insert(n.name);
-  for (const auto& dev : acc.devices) {
-    for (std::size_t i = 0; i < dev.ctx->process_count(); ++i) {
-      ctx_procs.insert(dev.ctx->process(i).name());
-    }
-  }
-  EXPECT_EQ(graph_nodes, ctx_procs);
-}
-
-// --- rate model cross-validation ---------------------------------------------
-
-TEST(VerifyRateTest, IntervalMatchesThroughputModel) {
-  for (const auto& spec : {dfc::core::make_usps_preset().compile_spec(),
-                           dfc::core::make_cifar_preset().compile_spec(),
-                           dfc::core::make_alexnet_mini_preset().compile_spec()}) {
-    const auto est = dfc::dse::estimate_timing(spec);
-    EXPECT_EQ(verify_design(spec).predicted_interval_cycles, est.interval_cycles) << spec.name;
-  }
-}
-
-TEST(VerifyRateTest, MultiIntervalMatchesPartitionModel) {
-  const auto spec = dfc::core::make_cifar_preset().compile_spec();
-  const dfc::core::LinkModel link{40, 4};
-  for (std::size_t boards = 2; boards <= 3; ++boards) {
-    const auto plan = dfc::mfpga::partition_network_exact(spec, boards, link);
-    const auto est = dfc::mfpga::estimate_multi_timing(spec, plan.layer_device, link);
-    BuildOptions opts;
-    opts.link = link;
-    EXPECT_EQ(verify_design_multi(spec, plan.layer_device, opts).predicted_interval_cycles,
-              est.interval_cycles)
-        << boards << " boards";
-  }
-}
-
 // --- deterministic JSON ------------------------------------------------------
 
 TEST(VerifyReportTest, JsonIsByteIdenticalAcrossSweepThreads) {
@@ -517,29 +437,45 @@ TEST(VerifyReportTest, ReportAccessorsAndThrow) {
   const auto r = verify_design(spec);
   EXPECT_GE(r.errors(), 1u);
   EXPECT_FALSE(r.clean());
+  // validate() throws exactly the errors the report lists; a clean spec
+  // does not throw.
   try {
-    r.throw_if_errors();
+    spec.validate();
     FAIL() << "expected VerifyError";
   } catch (const VerifyError& e) {
-    ASSERT_FALSE(e.diagnostics().empty());
+    ASSERT_EQ(e.diagnostics().size(), r.errors());
     EXPECT_EQ(e.diagnostics()[0].code, Code::DF103);
   }
-  // A clean report does not throw.
-  verify_design(tiny_spec()).throw_if_errors();
+  tiny_spec().validate();
 }
 
 // --- promoted construction-path diagnostics ----------------------------------
 
 TEST(VerifyPromotionTest, AdapterDivisibilityThrowsStructured) {
-  SimContext ctx;
-  std::vector<Fifo<Flit>*> streams{&ctx.add_fifo<Flit>("a", 4), &ctx.add_fifo<Flit>("b", 4)};
+  // One stream of 2 interleaved channels cannot fan out to 3 pool cores.
+  NetworkSpec spec = tiny_pipeline();
+  std::get<PoolLayerSpec>(spec.layers[1]).ports = 3;
   try {
-    dfc::core::adapt_stream_ports(ctx, "L0", std::move(streams), 6, 3, 4);
+    dfc::core::build_accelerator(spec);
     FAIL() << "expected VerifyError";
   } catch (const VerifyError& e) {
     ASSERT_EQ(e.diagnostics().size(), 1u);
     EXPECT_EQ(e.diagnostics()[0].code, Code::DF102);
-    EXPECT_EQ(e.diagnostics()[0].entity, "L0");
+    EXPECT_EQ(e.diagnostics()[0].entity, "L1");
+  }
+}
+
+TEST(VerifyPromotionTest, BuilderCollectsEveryError) {
+  NetworkSpec spec = tiny_spec();
+  auto& conv = std::get<ConvLayerSpec>(spec.layers[0]);
+  conv.weights.pop_back();
+  conv.biases.pop_back();
+  try {
+    dfc::core::build_accelerator(spec);
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.diagnostics().size(), 2u) << "both DF103 findings, not just the first";
+    for (const auto& d : e.diagnostics()) EXPECT_EQ(d.code, Code::DF103);
   }
 }
 
@@ -569,62 +505,234 @@ TEST(VerifyPromotionTest, ExecutorPartitionThrowsStructured) {
   }
 }
 
-// --- opt-in pre-flight -------------------------------------------------------
+// --- pinned outputs of the elaboration ---------------------------------------
+//
+// FNV-1a 64 pins of what the one elaborated design graph must not move: the
+// verifier's JSON on every shipped preset and board cut, and the ordered FIFO
+// and process registration lists of every build (run_campaign draws fault
+// sites by FIFO index; trace entity ids follow registration order).
 
-TEST(VerifyPreflightTest, CollectsEveryErrorBeforeBuilding) {
-  install_preflight();
-  NetworkSpec spec = tiny_spec();
-  auto& conv = std::get<ConvLayerSpec>(spec.layers[0]);
-  conv.weights.pop_back();
-  conv.biases.pop_back();
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
-  // Knob off: validate() throws on the first problem (plain ConfigError,
-  // not a VerifyError).
-  EXPECT_THROW(dfc::core::build_accelerator(spec), dfc::ConfigError);
+std::vector<NetworkSpec> preset_specs() {
+  return {dfc::core::make_usps_preset().compile_spec(),
+          dfc::core::make_cifar_preset().compile_spec(),
+          dfc::core::make_alexnet_mini_preset().compile_spec()};
+}
 
-  BuildOptions opts;
-  opts.preflight_verify = true;
-  try {
-    dfc::core::build_accelerator(spec, opts);
-    FAIL() << "expected VerifyError";
-  } catch (const VerifyError& e) {
-    EXPECT_EQ(e.diagnostics().size(), 2u) << "both DF103 findings, not just the first";
-    for (const auto& d : e.diagnostics()) EXPECT_EQ(d.code, Code::DF103);
+/// A build the pins and the realization test cover: build_accelerator when
+/// layer_device is empty, otherwise build_multi_fpga on that cut.
+struct CoveredBuild {
+  std::string name;
+  NetworkSpec spec;
+  BuildOptions options;
+  std::vector<std::size_t> layer_device;
+};
+
+/// The presets; usps with both convs on filter chains; usps single-context
+/// over LinkChannels; and each preset's 2..4-board exact cut.
+std::vector<CoveredBuild> covered_builds() {
+  const auto specs = preset_specs();
+  std::vector<CoveredBuild> builds;
+  for (const NetworkSpec& spec : specs) builds.push_back({spec.name, spec, {}, {}});
+  builds.push_back({"usps-filter-chains", specs[0], {}, {}});
+  for (auto& layer : builds.back().spec.layers) {
+    if (auto* conv = std::get_if<ConvLayerSpec>(&layer)) conv->use_filter_chain = true;
+  }
+  builds.push_back({"usps-linkchannel", specs[0], {}, {}});
+  builds.back().options.layer_device = {0, 0, 1, 1};
+  for (const NetworkSpec& spec : specs) {
+    for (std::size_t boards = 2; boards <= 4; ++boards) {
+      builds.push_back({spec.name + "-" + std::to_string(boards) + "board", spec, {},
+                        dfc::mfpga::partition_network_exact(spec, boards, {}).layer_device});
+    }
+  }
+  return builds;
+}
+
+/// Builds `b` and calls visit(contexts, built design, graph elaborated apart).
+template <typename Visit>
+void build(const CoveredBuild& b, Visit visit) {
+  if (b.layer_device.empty()) {
+    const auto acc = dfc::core::build_accelerator(b.spec, b.options);
+    visit(std::vector<const SimContext*>{acc.ctx.get()}, acc,
+          dfc::core::elaborate(b.spec, b.options));
+    return;
+  }
+  const auto acc = dfc::mfpga::build_multi_fpga(b.spec, b.layer_device, b.options);
+  std::vector<const SimContext*> contexts;
+  for (const auto& dev : acc.devices) contexts.push_back(dev.ctx.get());
+  visit(contexts, acc, dfc::core::elaborate(b.spec, b.options, b.layer_device));
+}
+
+TEST(VerifyPinTest, ReportJsonMatchesPinnedHashes) {
+  // Per preset: the single-board report, then for each 2..4-board exact cut
+  // the default link (usps's 4-board cut warns DF202), a one-cycle-per-word
+  // link, and a one-credit window (DF203) — the cut `dfcnn check` verifies.
+  const std::uint64_t pins[] = {0x68480c258575dc45ULL, 0x1097749b7f603b5aULL,
+                                0x8afb9e9e08ad81a2ULL};
+  const auto specs = preset_specs();
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const NetworkSpec& spec = specs[s];
+    std::string all = verify_design(spec).to_json() + "\n";
+    for (const auto& [link, credits] : {std::pair{dfc::core::LinkModel{40, 4}, 0},
+                                        std::pair{dfc::core::LinkModel{40, 1}, 0},
+                                        std::pair{dfc::core::LinkModel{40, 4}, 1}}) {
+      for (std::size_t boards = 2; boards <= 4; ++boards) {
+        BuildOptions opts;
+        opts.link = link;
+        const auto plan = dfc::mfpga::partition_network_exact(spec, boards, link, credits);
+        const auto r = verify_design_multi(spec, plan.layer_device, opts, credits);
+        EXPECT_EQ(r.has(Code::DF203), credits == 1) << spec.name;
+        if (s == 0 && boards == 4 && link.cycles_per_word == 4) {
+          EXPECT_TRUE(r.has(Code::DF202));
+        }
+        all += r.to_json() + "\n";
+      }
+    }
+    EXPECT_EQ(fnv1a(all), pins[s]) << spec.name << std::hex << " 0x" << fnv1a(all);
   }
 }
 
-TEST(VerifyPreflightTest, MultiExecHonoursKnob) {
-  install_preflight();
-  NetworkSpec spec = tiny_pipeline();
-  std::get<FcnLayerSpec>(spec.layers[2]).in_count = 7;
-  BuildOptions opts;
-  opts.preflight_verify = true;
-  try {
-    dfc::mfpga::build_multi_fpga(spec, {0, 0, 1}, opts);
-    FAIL() << "expected VerifyError";
-  } catch (const VerifyError& e) {
-    EXPECT_EQ(e.diagnostics()[0].code, Code::DF105);
+TEST(VerifyPinTest, BuildRegistrationOrderMatchesPinnedHashes) {
+  const std::uint64_t pins[] = {
+      0x7bab0a4a900e060fULL, 0x77e93b27fc47342fULL, 0x38dd01b3a4967c6fULL,  // presets
+      0x18add7433dfa35e2ULL, 0x0ea23b7ebfd1d157ULL,  // usps filter chains, LinkChannel
+      0x62ae096c911fd234ULL, 0x3dcb56b38b884634ULL, 0x449c1e734fe07bd4ULL,  // usps 2-4
+      0x44cacab0a22a6312ULL, 0x97e964056a188cfcULL, 0x1a583506799dde05ULL,  // cifar 2-4
+      0x0699ab1e039cabd2ULL, 0x7e8dc5e3afac60a0ULL, 0xb6ec608856117fd3ULL,  // alexnet 2-4
+  };
+  const auto builds = covered_builds();
+  ASSERT_EQ(builds.size(), std::size(pins));
+  for (std::size_t i = 0; i < builds.size(); ++i) {
+    build(builds[i], [&](const auto& contexts, const dfc::core::DesignInstance& acc,
+                         const DesignGraph&) {
+      // Per context "name\tcapacity" per FIFO, then each process name; then
+      // the wires.
+      std::string s;
+      for (const SimContext* ctx : contexts) {
+        for (std::size_t f = 0; f < ctx->fifo_count(); ++f) {
+          s += ctx->fifo(f).name() + "\t" + std::to_string(ctx->fifo(f).capacity()) + "\n";
+        }
+        for (std::size_t p = 0; p < ctx->process_count(); ++p) s += ctx->process(p).name() + "\n";
+        s += "==\n";
+      }
+      for (const auto& w : acc.wires) s += w->name() + "\n";
+      EXPECT_EQ(fnv1a(s), pins[i]) << builds[i].name << std::hex << " 0x" << fnv1a(s);
+    });
   }
-  // Clean designs build identically with the knob on.
-  const auto clean = tiny_pipeline();
-  EXPECT_NO_THROW(dfc::mfpga::build_multi_fpga(clean, {0, 0, 1}, opts));
 }
 
-// --- DSE rejection filter ----------------------------------------------------
+// --- the builders instantiate core::elaborate's graph --------------------------
 
-TEST(VerifyDseTest, FilterKeepsResultAndCountsRejections) {
-  const auto preset = dfc::core::make_usps_preset();
-  dfc::dse::DseOptions with, without;
-  with.verify_candidates = true;
-  without.verify_candidates = false;
-  const auto a = dfc::dse::explore(preset.net, preset.input_shape, with);
-  const auto b = dfc::dse::explore(preset.net, preset.input_shape, without);
-  EXPECT_EQ(a.best.timing.interval_cycles, b.best.timing.interval_cycles);
-  EXPECT_EQ(a.best.plan.conv.size(), b.best.plan.conv.size());
-  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
-  // The verifier only rejects what compilation would also reject (legal DSE
-  // enumerations compile to legal specs), so the counts agree.
-  EXPECT_EQ(a.candidates_rejected, b.candidates_rejected);
+/// Every channel of `graph` is a built FIFO — between boards, a wire — with
+/// the same name and capacity; every node a built process or, for a
+/// filter-chain memory node (the case a name-set comparison cannot cover),
+/// the name prefix of its chain's processes; and whatever else was built is
+/// filter-chain internals.
+void expect_realizes(const DesignGraph& graph, const std::vector<const SimContext*>& contexts,
+                     const dfc::core::DesignInstance& built, const std::string& what) {
+  std::map<std::string, std::size_t> fifos, wires;
+  std::set<std::string> procs;
+  for (const SimContext* ctx : contexts) {
+    for (std::size_t i = 0; i < ctx->fifo_count(); ++i) {
+      fifos.emplace(ctx->fifo(i).name(), ctx->fifo(i).capacity());
+    }
+    for (std::size_t i = 0; i < ctx->process_count(); ++i) procs.insert(ctx->process(i).name());
+  }
+  for (const auto& w : built.wires) {
+    wires.emplace(w->name(), static_cast<std::size_t>(w->model().effective_credits()));
+  }
+  for (const auto& c : graph.channels) {
+    auto& pool = graph.nodes[static_cast<std::size_t>(c.producer)].kind == NodeKind::kLinkTx
+                     ? wires
+                     : fifos;
+    const auto it = pool.find(c.name);
+    ASSERT_NE(it, pool.end()) << what << ": channel " << c.name << " was not built";
+    EXPECT_EQ(it->second, c.capacity) << what << ": " << c.name;
+    pool.erase(it);
+  }
+  EXPECT_TRUE(wires.empty()) << what;
+
+  std::vector<std::string> chains;
+  for (const auto& n : graph.nodes) {
+    if (procs.erase(n.name) == 1) continue;
+    EXPECT_EQ(n.kind, NodeKind::kMemory) << what << ": node " << n.name << " was not built";
+    const std::string prefix = n.name + ".";
+    EXPECT_TRUE(std::any_of(procs.begin(), procs.end(),
+                            [&](const std::string& p) { return p.starts_with(prefix); }))
+        << what << ": no chain processes under " << prefix;
+    chains.push_back(prefix);
+  }
+  const auto in_chain = [&](const std::string& name) {
+    return std::any_of(chains.begin(), chains.end(),
+                       [&](const std::string& prefix) { return name.starts_with(prefix); });
+  };
+  for (const auto& p : procs) EXPECT_TRUE(in_chain(p)) << what << ": extra process " << p;
+  for (const auto& f : fifos) EXPECT_TRUE(in_chain(f.first)) << what << ": extra FIFO " << f.first;
+}
+
+TEST(VerifyRealizationTest, BuildersInstantiateTheElaboratedGraph) {
+  for (const CoveredBuild& b : covered_builds()) {
+    build(b, [&](const auto& contexts, const dfc::core::DesignInstance& acc,
+                 const DesignGraph& graph) { expect_realizes(graph, contexts, acc, b.name); });
+  }
+}
+
+// --- spec rules: validate() and the verifier apply the same ones ---------------
+
+/// validate() throws one VerifyError carrying `code`, and verify_design
+/// reports it — instead of dividing by the field, or building with it.
+void expect_rejected(const NetworkSpec& spec, Code code) {
+  try {
+    spec.validate();
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_TRUE(std::any_of(e.diagnostics().begin(), e.diagnostics().end(),
+                            [code](const Diagnostic& d) { return d.code == code; }))
+        << e.what();
+  }
+  EXPECT_TRUE(verify_design(spec).has(code));
+}
+
+TEST(VerifySpecRuleTest, ConvStrideMustBePositive) {
+  for (const int stride : {0, -1}) {
+    NetworkSpec spec = tiny_pipeline();
+    std::get<ConvLayerSpec>(spec.layers[0]).stride = stride;
+    expect_rejected(spec, Code::DF101);
+  }
+}
+
+TEST(VerifySpecRuleTest, PoolStrideMustBePositive) {
+  for (const int stride : {0, -2}) {
+    NetworkSpec spec = tiny_pipeline();
+    std::get<PoolLayerSpec>(spec.layers[1]).stride = stride;
+    expect_rejected(spec, Code::DF101);
+  }
+}
+
+TEST(VerifySpecRuleTest, AccumulatorCountMustBePositive) {
+  for (const int accumulators : {0, -3}) {
+    NetworkSpec spec = tiny_pipeline();
+    std::get<FcnLayerSpec>(spec.layers[2]).num_accumulators = accumulators;
+    expect_rejected(spec, Code::DF106);
+  }
+}
+
+TEST(VerifySpecRuleTest, ActivationMustBeKnown) {
+  NetworkSpec conv = tiny_pipeline();
+  std::get<ConvLayerSpec>(conv.layers[0]).act = dfc::core::Activation{77};
+  expect_rejected(conv, Code::DF106);
+  NetworkSpec fcn = tiny_pipeline();
+  std::get<FcnLayerSpec>(fcn.layers[2]).act = dfc::core::Activation{77};
+  expect_rejected(fcn, Code::DF106);
 }
 
 }  // namespace

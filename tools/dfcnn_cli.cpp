@@ -207,7 +207,7 @@ int cmd_dot(const core::NetworkSpec& spec, std::size_t batch) {
   // FIFOs, so the annotated edges can show starvation, not just back-pressure.
   harness.accelerator().ctx->set_stall_accounting(true);
   harness.run_batch(report::random_images(spec, batch));
-  std::printf("%s", core::block_design_dot(spec, *harness.accelerator().ctx).c_str());
+  std::printf("%s", core::block_design_dot(spec, harness.accelerator()).c_str());
   return 0;
 }
 

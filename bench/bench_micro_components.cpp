@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the simulator building blocks: FIFO
 // transfer, window buffer streaming, conv-core cycles, golden convolution,
-// the conv MAC kernel, and whole-accelerator simulation throughput.
+// the conv MAC kernel, the window hand-off into a pool core, and
+// whole-accelerator simulation throughput.
 //
 // Fixed Iterations(...) keep the smoke-suite cost bounded: these numbers gate
 // order-of-magnitude regressions, not single-percent ones, and letting
@@ -15,6 +16,7 @@
 #include "dataflow/endpoints.hpp"
 #include "dataflow/sim_context.hpp"
 #include "hlscore/mac_kernel.hpp"
+#include "hlscore/pool_core.hpp"
 #include "nn/conv2d.hpp"
 #include "report/experiments.hpp"
 #include "sst/window_buffer.hpp"
@@ -114,6 +116,42 @@ void BM_ConvMacBeat(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * out_fm * kernel.beat_inputs());
 }
 BENCHMARK(BM_ConvMacBeat)->Args({12, 1})->Args({36, 1})->Args({32, 2})->Iterations(100'000);
+
+// The SST window hand-off: a WindowBuffer builds the 5x5 windows of a
+// 32x32x3 map in their Fifo<Window> slots and a max-pool core reads each in
+// place. The time_per_window counter is host time per window, line-buffer
+// fill and pool output included.
+void BM_WindowHandoff(benchmark::State& state) {
+  const dfc::sst::WindowGeometry g{32, 32, 5, 5, 1, 1, 3};
+  dfc::Rng rng(4);
+  dfc::Tensor img(dfc::Shape3{3, 32, 32});
+  for (float& v : img.flat()) v = rng.next_float();
+
+  dfc::df::SimContext ctx;
+  auto& in = ctx.add_fifo<Flit>("in", 4);
+  auto& win = ctx.add_fifo<dfc::sst::Window>("win", 4);
+  auto& out = ctx.add_fifo<Flit>("out", 4);
+  ctx.add_process<dfc::df::VectorSource<Flit>>("src", in, dfc::axis::pack_port_stream(img, 1, 0));
+  ctx.add_process<dfc::sst::WindowBuffer>("wb", g, in, win);
+  dfc::hls::PoolCoreConfig pool;
+  pool.kh = g.kh;
+  pool.kw = g.kw;
+  ctx.add_process<dfc::hls::PoolCore>("pool", pool, win, out);
+  auto& sink = ctx.add_process<dfc::df::VectorSink<Flit>>("sink", out);
+  const auto windows = static_cast<std::size_t>(g.windows_per_image());
+  for (auto _ : state) {
+    state.PauseTiming();
+    ctx.reset();
+    state.ResumeTiming();
+    ctx.run_until([&] { return sink.count() == windows; });
+    benchmark::DoNotOptimize(sink.tokens().data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(windows));
+  state.counters["time_per_window"] = benchmark::Counter(
+      static_cast<double>(windows),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WindowHandoff)->Iterations(200);
 
 void BM_UspsAcceleratorImage(benchmark::State& state) {
   const auto spec = dfc::core::make_usps_spec();

@@ -1,7 +1,9 @@
 // Fixed-capacity ring buffer used as the storage of simulated FIFOs.
 //
 // Capacity is fixed at construction (hardware FIFOs do not grow); push/pop
-// are O(1) and never allocate after construction.
+// are O(1) and never allocate after construction. Besides by-value push/pop,
+// elements can be built and read in their slots: back_slot() + publish()
+// is an in-place push, take() an in-place pop.
 #pragma once
 
 #include <cstddef>
@@ -24,21 +26,47 @@ class RingBuffer {
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == storage_.size(); }
 
-  /// Appends an element; the buffer must not be full.
-  void push(T value) {
+  /// The free slot the next element will occupy; the buffer must not be
+  /// full. It holds whatever an earlier element left there, and becomes an
+  /// element only at publish().
+  T& back_slot() {
+    DFC_ASSERT(!full(), "RingBuffer::back_slot on full buffer");
+    return storage_[tail_];
+  }
+
+  /// Appends back_slot() as the newest element.
+  void publish() {
     DFC_ASSERT(!full(), "RingBuffer overflow");
-    storage_[tail_] = std::move(value);
     tail_ = advance(tail_);
     ++size_;
   }
 
-  /// Removes and returns the oldest element; the buffer must not be empty.
-  T pop() {
+  /// Appends an element; the buffer must not be full.
+  void push(T value) {
+    back_slot() = std::move(value);
+    publish();
+  }
+
+  /// Removes the oldest element and returns its slot, which keeps the value
+  /// until a later push reuses it. The buffer must not be empty.
+  T& take() {
     DFC_ASSERT(!empty(), "RingBuffer underflow");
-    T value = std::move(storage_[head_]);
+    T& slot = storage_[head_];
     head_ = advance(head_);
     --size_;
-    return value;
+    return slot;
+  }
+
+  /// Removes and returns the oldest element; the buffer must not be empty.
+  T pop() { return std::move(take()); }
+
+  /// Inserts `value` ahead of the oldest element, leaving back_slot() where
+  /// it is; the buffer must not be full.
+  void push_front(const T& value) {
+    DFC_ASSERT(!full(), "RingBuffer overflow");
+    head_ = head_ == 0 ? storage_.size() - 1 : head_ - 1;
+    storage_[head_] = value;
+    ++size_;
   }
 
   /// Oldest element without removing it.

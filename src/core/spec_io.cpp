@@ -1,5 +1,6 @@
 #include "core/spec_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -54,10 +55,19 @@ void write_floats(std::ostream& os, const std::vector<float>& v) {
 std::vector<float> read_floats(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
   DFC_REQUIRE(n <= (1ull << 28), "unreasonable weight array length in spec stream");
-  std::vector<float> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  DFC_REQUIRE(is.good(), "spec stream truncated");
+  // Read in fixed chunks, so the length field alone allocates nothing: a
+  // stream that ends early fails one chunk past the bytes it holds, having
+  // allocated in proportion to those bytes (std::vector's doubling).
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;  // floats
+  std::vector<float> v;
+  while (v.size() < n) {
+    const std::size_t at = v.size();
+    const auto len = static_cast<std::size_t>(std::min(kChunk, n - at));
+    v.resize(at + len);
+    is.read(reinterpret_cast<char*>(v.data() + at),
+            static_cast<std::streamsize>(len * sizeof(float)));
+    DFC_REQUIRE(is.good(), "spec stream truncated");
+  }
   return v;
 }
 

@@ -13,6 +13,11 @@
 // capacity-1 FIFO (a single register with no skid buffer) sustains at most
 // one transfer every two cycles; inter-stage channels therefore default to
 // capacity >= 2 to stream at full rate.
+//
+// Tokens never leave the ring: a push is built in the slot it will occupy
+// (push_slot(); push(v) assigns it) and commit() publishes that slot; a pop
+// hands out the slot it vacated (take(); pop() copies it). So a window token
+// travels from its producer to its consumer without a copy.
 #pragma once
 
 #include <cstdint>
@@ -250,34 +255,42 @@ class Fifo final : public FifoBase {
     return items_.front();
   }
 
-  /// Consumes and returns the front element. Requires can_pop().
-  T pop() {
-    DFC_ASSERT(can_pop(), "Fifo::pop without can_pop: " + name_);
+  /// Consumes the front element and returns its ring slot, valid until this
+  /// cycle's commit(). The integrity guard checks the element before the
+  /// caller sees it. Requires can_pop().
+  const T& take() {
+    DFC_ASSERT(can_pop(), "Fifo::take without can_pop: " + name_);
     popped_this_cycle_ = true;
     ++stats_.pops;
     ++lifetime_.pops;
     mark_pending();
     trace_record(obs::EventKind::kPop);
-    T value = items_.pop();
+    const T& value = items_.take();
     if (guard_enabled_) guard_check(value);
     return value;
   }
 
-  /// Enqueues `value`; it becomes visible to consumers next cycle.
-  /// Requires can_push().
-  void push(T value) {
-    DFC_ASSERT(can_push(), "Fifo::push without can_push: " + name_);
+  /// Consumes and returns the front element. Requires can_pop().
+  T pop() { return take(); }
+
+  /// Reserves this cycle's push and returns the ring slot it occupies, still
+  /// holding an earlier token: the producer must write every field it relies
+  /// on before its on_clock() returns. The token becomes visible to consumers
+  /// next cycle. Requires can_push().
+  T& push_slot() {
+    DFC_ASSERT(can_push(), "Fifo::push_slot without can_push: " + name_);
     pushed_this_cycle_ = true;
-    pending_ = std::move(value);
     pending_count_ = 1;
-    if (guard_enabled_) {
-      pending_sum_ = guard_seq_mix(fault_payload_checksum(pending_), guard_push_seq_++);
-    }
     ++stats_.pushes;
     ++lifetime_.pushes;
     mark_pending();
     trace_record(obs::EventKind::kPush);
+    return items_.back_slot();
   }
+
+  /// Enqueues `value`; it becomes visible to consumers next cycle.
+  /// Requires can_push().
+  void push(T value) { push_slot() = std::move(value); }
 
   /// Records that a producer wanted to push but could not (for stall stats).
   void note_full_stall() {
@@ -291,9 +304,10 @@ class Fifo final : public FifoBase {
   bool commit() override {
     const bool active = pushed_this_cycle_ || popped_this_cycle_;
     if (pending_count_ > 0) {
-      items_.push(std::move(pending_));
+      seal_pending();
+      items_.publish();
       pending_count_ = 0;
-      if (guard_enabled_) guard_sums_.push_back(pending_sum_);
+      pending_sealed_ = false;
     }
     const std::size_t occ = items_.size();
     stats_.max_occupancy = std::max(stats_.max_occupancy, occ);
@@ -306,6 +320,7 @@ class Fifo final : public FifoBase {
   void reset() override {
     items_.clear();
     pending_count_ = 0;
+    pending_sealed_ = false;
     pushed_this_cycle_ = false;
     popped_this_cycle_ = false;
     guard_sums_.clear();
@@ -318,7 +333,8 @@ class Fifo final : public FifoBase {
     if (!items_.empty()) {
       landed = fault_flip_payload_bit(items_.front_mut(), bit);
     } else if (pending_count_ > 0) {
-      landed = fault_flip_payload_bit(pending_, bit);
+      seal_pending();  // the sidecar keeps the token as its producer wrote it
+      landed = fault_flip_payload_bit(items_.back_slot(), bit);
     }
     if (landed) trace_record(obs::EventKind::kFaultInject, kFaultTraceBitFlip);
     return landed;
@@ -326,7 +342,7 @@ class Fifo final : public FifoBase {
 
   bool fault_drop_front() override {
     if (items_.empty()) return false;
-    (void)items_.pop();
+    (void)items_.take();
     if (guard_enabled_ && !guard_sums_.empty()) guard_sums_.pop_front();
     trace_record(obs::EventKind::kFaultInject, kFaultTraceDrop);
     return true;
@@ -334,11 +350,9 @@ class Fifo final : public FifoBase {
 
   bool fault_duplicate_front() override {
     if (items_.empty() || items_.size() + pending_count_ >= capacity_) return false;
-    std::vector<T> held;
-    held.reserve(items_.size());
-    while (!items_.empty()) held.push_back(items_.pop());
-    items_.push(held.front());
-    for (auto& v : held) items_.push(std::move(v));
+    // The copy goes in ahead of the front, so an uncommitted push keeps its
+    // slot at the back.
+    items_.push_front(items_.front());
     // The copy is bitwise faithful, so its sidecar entry is a copy too — a
     // duplicated beat evades pure per-flit parity. The sequence number mixed
     // into each checksum is what catches it: the original lands one pop
@@ -352,7 +366,8 @@ class Fifo final : public FifoBase {
     guard_enabled_ = true;
     fault_listener_ = listener;
     guard_range_bound_ = range_bound;
-    // Checksum whatever is already in flight so mid-run arming stays in sync.
+    // Checksum whatever is already in flight so mid-run arming stays in sync;
+    // an uncommitted push is checksummed when commit() publishes it.
     guard_sums_.clear();
     guard_pop_seq_ = 0;
     for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -360,9 +375,7 @@ class Fifo final : public FifoBase {
                                           static_cast<std::uint32_t>(i)));
     }
     guard_push_seq_ = static_cast<std::uint32_t>(items_.size());
-    if (pending_count_ > 0) {
-      pending_sum_ = guard_seq_mix(fault_payload_checksum(pending_), guard_push_seq_++);
-    }
+    pending_sealed_ = false;
   }
 
   void disable_integrity_guard() override {
@@ -371,6 +384,7 @@ class Fifo final : public FifoBase {
     guard_sums_.clear();
     guard_push_seq_ = 0;
     guard_pop_seq_ = 0;
+    pending_sealed_ = false;
   }
 
  private:
@@ -379,6 +393,15 @@ class Fifo final : public FifoBase {
   /// the wrong pop position and fail the sequence part.
   static std::uint32_t guard_seq_mix(std::uint32_t sum, std::uint32_t seq) {
     return sum ^ (seq * 0x9E3779B9u + 0x85EBCA6Bu);
+  }
+
+  /// Appends the pending push's checksum to the sidecar, once: at commit(),
+  /// or earlier when a fault is about to land on the uncommitted slot.
+  void seal_pending() {
+    if (!guard_enabled_ || pending_sealed_) return;
+    guard_sums_.push_back(
+        guard_seq_mix(fault_payload_checksum(items_.back_slot()), guard_push_seq_++));
+    pending_sealed_ = true;
   }
 
   void guard_check(const T& value) {
@@ -398,13 +421,12 @@ class Fifo final : public FifoBase {
     }
   }
 
-  RingBuffer<T> items_;
-  T pending_{};
+  RingBuffer<T> items_;  ///< committed tokens; an uncommitted push sits in back_slot()
   std::size_t pending_count_ = 0;
+  bool pending_sealed_ = false;  ///< the pending push's checksum is already in guard_sums_
   bool pushed_this_cycle_ = false;
   bool popped_this_cycle_ = false;
   std::deque<std::uint32_t> guard_sums_;  ///< seq-mixed checksums aligned with items_
-  std::uint32_t pending_sum_ = 0;
   std::uint32_t guard_push_seq_ = 0;
   std::uint32_t guard_pop_seq_ = 0;
 };

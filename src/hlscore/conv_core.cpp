@@ -151,7 +151,7 @@ void ConvCore::try_gather() {
   bool last_of_image = false;
   const std::int64_t taps = cfg_.taps();
   for (int p = 0; p < cfg_.in_ports; ++p) {
-    const Window w = win_in_[static_cast<std::size_t>(p)]->pop();
+    const Window& w = win_in_[static_cast<std::size_t>(p)]->take();
     DFC_ASSERT(w.count == taps, "window tap count mismatch in " + name());
     DFC_ASSERT(w.slot == group_, "window slot out of order in " + name());
     last_of_image |= w.last_of_image;

@@ -23,7 +23,7 @@ void PoolCore::on_clock() {
     if (obs_enabled_) activity_.tick(obs::CoreState::kBackPressured, now(), obs_trace_, obs_id_);
     return;
   }
-  const Window w = in_.pop();
+  const Window& w = in_.take();
   DFC_ASSERT(w.count == cfg_.taps(), "pool window tap count mismatch in " + name());
 
   float value;

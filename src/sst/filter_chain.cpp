@@ -61,7 +61,7 @@ void WindowAssembler::on_clock() {
   for (auto* tap : taps_) {
     if (!tap->can_pop()) return;  // blocking read on all taps
   }
-  Window w;
+  Window& w = out_.push_slot();
   w.count = static_cast<std::uint16_t>(geom_.taps());
   for (std::size_t i = 0; i < taps_.size(); ++i) {
     const Flit f = taps_[i]->pop();
@@ -75,7 +75,6 @@ void WindowAssembler::on_clock() {
   const std::int64_t last_ox = ((geom_.in_w - geom_.kw) / geom_.stride_x) * geom_.stride_x;
   w.last_of_image =
       (cur_oy_ == last_oy) && (cur_ox_ == last_ox) && (cur_slot_ == geom_.channels - 1);
-  out_.push(w);
   advance_position();
 }
 

@@ -47,7 +47,8 @@ void WindowBuffer::try_emit() {
     return;
   }
 
-  Window w;
+  // Built in the FIFO slot it will occupy: only the live taps are written.
+  Window& w = out_.push_slot();
   w.count = static_cast<std::uint16_t>(geom_.taps());
   w.slot = static_cast<std::uint16_t>(emit_slot_);
   w.abs_channel = abs_channel_[static_cast<std::size_t>(emit_slot_)];
@@ -69,7 +70,6 @@ void WindowBuffer::try_emit() {
       w.taps[i++] = (x < 0 || x >= geom_.in_w) ? 0.0f : row[x];
     }
   }
-  out_.push(w);
   advance_emit_cursor();
 }
 

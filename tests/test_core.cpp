@@ -4,6 +4,9 @@
 // block-design export.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstring>
 #include <sstream>
 
 #include "axis/flit.hpp"
@@ -450,6 +453,39 @@ TEST(SpecIoTest, RejectsTruncation) {
   data.resize(data.size() / 2);
   std::stringstream cut(data);
   EXPECT_THROW(load_spec(cut), ConfigError);
+}
+
+TEST(SpecIoTest, TruncatedHugeWeightArrayFailsWithoutAllocatingIt) {
+  // The usps header and first conv layer, whose weight array claims 2^28
+  // floats (1 GiB) and then ends: 137 bytes. Loading must fail with a
+  // ConfigError without allocating what the length field promises.
+  const NetworkSpec spec = make_usps_spec();
+  std::stringstream full;
+  save_spec(spec, full);
+  // Magic, version, name, input shape, latencies, layer count, then the
+  // conv layer's tag, shape, out_fm, six int32 fields and two flag bytes.
+  const std::size_t weights_at =
+      10 + 4 + (8 + spec.name.size()) + 24 + 8 + 8 + 1 + 24 + 8 + 24 + 2;
+  std::uint64_t real = 0;
+  std::memcpy(&real, full.str().data() + weights_at, sizeof real);
+  ASSERT_EQ(real, std::get<ConvLayerSpec>(spec.layers[0]).weights.size());
+  std::string bytes = full.str().substr(0, weights_at);
+  const std::uint64_t claimed = std::uint64_t{1} << 28;
+  bytes.append(reinterpret_cast<const char*>(&claimed), sizeof claimed);
+  ASSERT_EQ(bytes.size(), 137u);
+
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::stringstream cut(bytes);
+  try {
+    (void)load_spec(cut);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("spec stream truncated"), std::string::npos) << e.what();
+  }
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);  // KiB
 }
 
 TEST(SpecIoTest, FileRoundTrip) {

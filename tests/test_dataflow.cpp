@@ -67,6 +67,22 @@ TEST(FifoTest, CapacityTwoSustainsFullRate) {
   }
 }
 
+TEST(FifoTest, TakeReferenceSurvivesSameCyclePush) {
+  // A capacity-2 FIFO at full rate: every cycle takes the front and pushes
+  // into the other slot, so the taken reference holds until commit.
+  Fifo<int> f("f", 2);
+  f.push(0);
+  f.commit();
+  for (int i = 1; i < 10; ++i) {
+    const int& taken = f.take();
+    ASSERT_TRUE(f.can_push());
+    f.push_slot() = i;
+    EXPECT_EQ(taken, i - 1);
+    f.commit();
+  }
+  EXPECT_EQ(f.pop(), 9);
+}
+
 TEST(FifoTest, StatsTrackTraffic) {
   Fifo<int> f("f", 2);
   f.push(1);

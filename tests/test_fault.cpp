@@ -5,6 +5,7 @@
 // campaign runner's classification + determinism across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
+#include "sst/window.hpp"
 
 namespace dfc::fault {
 namespace {
@@ -149,6 +151,104 @@ TEST(FifoFaultTest, GuardIsPassiveOnCleanTraffic) {
   }
   EXPECT_EQ(f.guard_checksum_errors(), 0u);
   EXPECT_EQ(f.guard_range_errors(), 0u);
+}
+
+// --- in-place push_slot()/take() against by-value push()/pop() -----------------
+
+/// Window `i` of a 5-tap test stream.
+sst::Window test_window(int i) {
+  sst::Window w;
+  w.count = 5;
+  for (std::size_t t = 0; t < w.count; ++t) {
+    w.taps[t] = 0.25f * static_cast<float>(i + static_cast<int>(t));
+  }
+  w.slot = static_cast<std::uint16_t>(i % 3);
+  w.last_of_image = (i % 4 == 3);
+  return w;
+}
+
+/// Fills a capacity-4 guarded Window FIFO with windows 0..2, by value or in
+/// place (writing only the live taps and the fields the cores read).
+void fill_guarded(df::Fifo<sst::Window>& f, bool in_place) {
+  f.enable_integrity_guard(nullptr, 1e6f);
+  for (int i = 0; i < 3; ++i) {
+    const sst::Window v = test_window(i);
+    if (in_place) {
+      sst::Window& w = f.push_slot();
+      w.count = v.count;
+      std::copy_n(v.taps.begin(), v.count, w.taps.begin());
+      w.slot = v.slot;
+      w.last_of_image = v.last_of_image;
+    } else {
+      f.push(v);
+    }
+    f.commit();
+  }
+}
+
+TEST(FifoInPlaceTest, InPlaceAndByValueStreamsGuardAlike) {
+  // The same tokens through push(v) and through push_slot(): the sidecars
+  // agree pop by pop on a clean stream and after a flip, a drop or a
+  // duplicate.
+  for (int fault = 0; fault < 4; ++fault) {  // none, flip, drop, duplicate
+    df::Fifo<sst::Window> by_value("v", 4);
+    df::Fifo<sst::Window> in_place("p", 4);
+    fill_guarded(by_value, false);
+    fill_guarded(in_place, true);
+    for (df::Fifo<sst::Window>* f : {&by_value, &in_place}) {
+      const bool landed = fault == 0   ? true
+                          : fault == 1 ? f->fault_corrupt_payload(30)
+                          : fault == 2 ? f->fault_drop_front()
+                                       : f->fault_duplicate_front();
+      ASSERT_TRUE(landed) << "fault " << fault;
+    }
+    ASSERT_EQ(by_value.size(), in_place.size());
+    while (by_value.can_pop()) {
+      ASSERT_TRUE(in_place.can_pop());
+      EXPECT_EQ(sst::fault_payload_checksum(by_value.take()),
+                sst::fault_payload_checksum(in_place.take()));
+      by_value.commit();
+      in_place.commit();
+      EXPECT_EQ(in_place.guard_checksum_errors(), by_value.guard_checksum_errors())
+          << "fault " << fault;
+    }
+    EXPECT_EQ(by_value.guard_checksum_errors(), fault == 0 ? 0u : 1u) << "fault " << fault;
+  }
+}
+
+TEST(FifoInPlaceTest, DuplicateKeepsAnUncommittedInPlacePush) {
+  df::SimContext ctx;
+  auto& f = ctx.add_fifo<sst::Window>("t", 4);
+  f.enable_integrity_guard(nullptr, 1e6f);
+  f.push(test_window(0));
+  f.commit();
+  f.push_slot() = test_window(1);
+  ASSERT_TRUE(f.fault_duplicate_front());
+  f.commit();
+  ASSERT_EQ(f.size(), 3u);
+  // The copy, the original (one position late), then the intact push.
+  EXPECT_EQ(f.take().taps[0], test_window(0).taps[0]);
+  f.commit();
+  EXPECT_EQ(f.guard_checksum_errors(), 0u);
+  EXPECT_EQ(f.take().taps[0], test_window(0).taps[0]);
+  f.commit();
+  EXPECT_EQ(f.guard_checksum_errors(), 1u);
+  const sst::Window& last = f.take();
+  EXPECT_EQ(sst::fault_payload_checksum(last), sst::fault_payload_checksum(test_window(1)));
+  EXPECT_EQ(last.slot, test_window(1).slot);
+}
+
+TEST(FifoInPlaceTest, CorruptionLandsOnAnUncommittedInPlacePush) {
+  df::SimContext ctx;
+  auto& f = ctx.add_fifo<sst::Window>("t", 4);
+  f.enable_integrity_guard(nullptr, 1e6f);
+  f.push_slot() = test_window(2);
+  ASSERT_TRUE(f.fault_corrupt_payload(30));  // nothing committed: the pending slot
+  f.commit();
+  const sst::Window& w = f.take();
+  EXPECT_NE(w.taps[0], test_window(2).taps[0]);
+  // The sidecar holds the token as the producer wrote it, so the flip shows.
+  EXPECT_EQ(f.guard_checksum_errors(), 1u);
 }
 
 // --- injector on a full accelerator --------------------------------------------
@@ -347,6 +447,43 @@ TEST(CampaignTest, ClassificationLineAndCsvAreConsistent) {
   std::size_t rows = 0;
   for (const char c : result.csv()) rows += (c == '\n') ? 1 : 0;
   EXPECT_EQ(rows, config.trials + 1);
+}
+
+// FNV-1a 64 pins of `dfcnn faults <design> --seed S --trials 16`'s CSV,
+// computed before window tokens were built and read in their FIFO slots.
+// Which detector fires first depends on the guard checking a token before
+// its consumer's own assertions run.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+CampaignResult pinned_campaign(const core::NetworkSpec& spec, std::uint64_t seed) {
+  CampaignConfig config;
+  config.trials = 16;
+  config.seed = seed;
+  return run_campaign(spec, config);
+}
+
+TEST(FaultCampaignPinTest, CifarSeed3) {
+  const CampaignResult r = pinned_campaign(core::make_cifar_preset().compile_spec(), 3);
+  // Trial 0 drops a window on the conv core's input; the sequence check
+  // must see it before the core's slot assertion does.
+  ASSERT_FALSE(r.trials.empty());
+  EXPECT_EQ(r.trials[0].fault.kind, FaultKind::kDropFlit);
+  EXPECT_EQ(r.trials[0].fault.fifo, "L0.win0");
+  EXPECT_EQ(r.trials[0].detector, "checksum");
+  const std::string csv = r.csv();
+  EXPECT_EQ(fnv1a(csv), 0x45080f839afe043eULL) << std::hex << "0x" << fnv1a(csv);
+}
+
+TEST(FaultCampaignPinTest, UspsSeed1) {
+  const std::string csv = pinned_campaign(core::make_usps_preset().compile_spec(), 1).csv();
+  EXPECT_EQ(fnv1a(csv), 0xcb1a0750e2cfce73ULL) << std::hex << "0x" << fnv1a(csv);
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
 // Tests for the activity-aware scheduler and the measurement-integrity
 // fixes: naive/active bit-equivalence (including the paranoid lockstep
 // checker), fast-forward over idle windows, per-batch FIFO statistics, the
-// run-to-run determinism of the harness, and CsvWriter failure detection.
+// run-to-run determinism of the harness, pinned engine traffic, and
+// CsvWriter failure detection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/csv.hpp"
 #include "core/dma.hpp"
 #include "core/harness.hpp"
 #include "core/presets.hpp"
 #include "dataflow/sim_context.hpp"
+#include "multifpga/exec.hpp"
+#include "multifpga/partition.hpp"
 #include "report/experiments.hpp"
 
 namespace dfc::core {
@@ -145,12 +149,110 @@ TEST(SchedulerTest, ParanoidModePassesOnCifar) {
 }
 
 TEST(SchedulerTest, ParanoidMatchesActiveOutputs) {
-  const NetworkSpec spec = make_usps_spec(9);
-  const auto images = dfc::report::random_images(spec, 3);
-  AcceleratorHarness active(build_accelerator(spec));
-  AcceleratorHarness paranoid(build_accelerator(spec));
-  paranoid.accelerator().ctx->set_paranoid(true);
-  expect_same_result(active.run_batch(images), paranoid.run_batch(images));
+  // Windows travel through push_slot()/take(): paranoid mode proves the
+  // scheduler counts those as FIFO side effects, on both presets.
+  for (const auto& [spec, batch] : {std::pair{make_usps_spec(9), std::size_t{3}},
+                                     std::pair{make_cifar_spec(9), std::size_t{2}}}) {
+    const auto images = dfc::report::random_images(spec, batch);
+    AcceleratorHarness active(build_accelerator(spec));
+    AcceleratorHarness paranoid(build_accelerator(spec));
+    paranoid.accelerator().ctx->set_paranoid(true);
+    expect_same_result(active.run_batch(images), paranoid.run_batch(images));
+    expect_same_stats(FifoStatsSnapshot::capture(*active.accelerator().ctx),
+                      FifoStatsSnapshot::capture(*paranoid.accelerator().ctx));
+  }
+}
+
+// --- pinned engine traffic -----------------------------------------------------
+//
+// FNV-1a 64 pins of how a 4-image batch travels through the cycle engine:
+// every FIFO's lifetime (name, pushes, pops, full stalls, max occupancy) in
+// registration order, each image's inject and completion cycle, and the
+// logits' bits. Logits alone cannot see a token delivered late or a FIFO
+// filled deeper. The pins were computed before window tokens were built and
+// read in their FIFO slots.
+
+class Fnv1a {
+ public:
+  void add(const std::string& s) {
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t traffic_hash(const std::vector<const SimContext*>& contexts, const BatchResult& r) {
+  Fnv1a h;
+  for (const SimContext* ctx : contexts) {
+    for (std::size_t i = 0; i < ctx->fifo_count(); ++i) {
+      const dfc::df::FifoStats& s = ctx->fifo(i).lifetime_stats();
+      h.add(ctx->fifo(i).name());
+      for (const std::uint64_t v : {s.pushes, s.pops, s.full_stall_cycles,
+                                    std::uint64_t{s.max_occupancy}}) {
+        h.add(v);
+      }
+    }
+  }
+  for (const std::uint64_t c : r.inject_cycles) h.add(c);
+  for (const std::uint64_t c : r.completion_cycles) h.add(c);
+  for (const std::vector<float>& logits : r.outputs) {
+    for (const float v : logits) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      h.add(std::uint64_t{bits});
+    }
+  }
+  return h.value();
+}
+
+std::uint64_t single_board_traffic(const NetworkSpec& spec) {
+  AcceleratorHarness harness(build_accelerator(spec));
+  const BatchResult r = harness.run_batch(dfc::report::random_images(spec, 4));
+  EXPECT_TRUE(r.ok());
+  return traffic_hash({harness.accelerator().ctx.get()}, r);
+}
+
+TEST(EngineTrafficPinTest, Usps) {
+  const std::uint64_t h = single_board_traffic(make_usps_spec());
+  EXPECT_EQ(h, 0xcd634a89750310aeULL) << std::hex << "0x" << h;
+}
+
+TEST(EngineTrafficPinTest, UspsOnFilterChains) {
+  // The element-level chain's WindowAssembler produces the windows.
+  NetworkSpec spec = make_usps_spec();
+  for (auto& layer : spec.layers) {
+    if (auto* conv = std::get_if<ConvLayerSpec>(&layer)) conv->use_filter_chain = true;
+  }
+  const std::uint64_t h = single_board_traffic(spec);
+  EXPECT_EQ(h, 0xce8c4ed506eee3a7ULL) << std::hex << "0x" << h;
+}
+
+TEST(EngineTrafficPinTest, Cifar) {
+  const std::uint64_t h = single_board_traffic(make_cifar_spec());
+  EXPECT_EQ(h, 0xc6f8ae44d5ecb1feULL) << std::hex << "0x" << h;
+}
+
+TEST(EngineTrafficPinTest, AlexnetMiniOnFourBoards) {
+  const NetworkSpec spec = make_alexnet_mini_spec();
+  dfc::mfpga::MultiFpgaHarness harness(dfc::mfpga::build_multi_fpga(
+      spec, dfc::mfpga::partition_network_exact(spec, 4, {}).layer_device));
+  const BatchResult r = harness.run_batch(dfc::report::random_images(spec, 4));
+  EXPECT_TRUE(r.ok());
+  std::vector<const SimContext*> contexts;
+  for (std::size_t d = 0; d < harness.device_count(); ++d) {
+    contexts.push_back(&harness.device_context(d));
+  }
+  const std::uint64_t h = traffic_hash(contexts, r);
+  EXPECT_EQ(h, 0x85a8b1a8b5553f25ULL) << std::hex << "0x" << h;
 }
 
 // --- fast-forward --------------------------------------------------------------

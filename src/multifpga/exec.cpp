@@ -77,6 +77,9 @@ void MultiFpgaHarness::reset() {
   for (auto& dev : acc_.devices) {
     dev.ctx->reset();
     dev.ctx->reset_fifo_stats();
+    // The last board's bus serves only the sink, and only DmaSource::reset
+    // rewinds a bus: without this it keeps the previous batch's slots.
+    if (dev.bus != nullptr) dev.bus->reset();
   }
   for (auto& w : acc_.wires) w->reset();
   for (auto& t : trackers_) t.reset();

@@ -15,6 +15,9 @@
 #include "common/error.hpp"
 #include "core/presets.hpp"
 #include "dse/throughput_model.hpp"
+#include "multifpga/exec.hpp"
+#include "multifpga/partition.hpp"
+#include "report/experiments.hpp"
 #include "serve/load_generator.hpp"
 
 namespace dfc::cluster {
@@ -342,6 +345,34 @@ TEST(ServiceTableTest, MultiBoardTablesPriceTheInterlink) {
   EXPECT_NE(two_fast[0], single[0]);
 }
 
+TEST(ServiceTableTest, MultiBoardTableMatchesAFreshHarnessPerSize) {
+  // The table measures every batch size on one reused harness; each entry
+  // must equal a freshly built design's run, which for a dataflow pipeline
+  // is a fill latency plus one steady interval per further image.
+  const struct {
+    core::NetworkSpec spec;
+    std::uint64_t fill;
+    std::uint64_t interval;
+  } cases[] = {{usps_spec(), 778, 256}, {core::make_cifar_spec(3), 10619, 9752}};
+  const core::InterLinkModel link;
+  constexpr std::size_t kMaxBatch = 16;
+  for (const auto& c : cases) {
+    const auto table = measure_service_table(c.spec, 2, kMaxBatch, link);
+    ASSERT_EQ(table.size(), kMaxBatch);
+    const auto plan = mfpga::partition_network_exact(c.spec, 2, link.link, link.credits);
+    core::BuildOptions opts;
+    opts.link = link.link;
+    for (std::size_t n = 1; n <= kMaxBatch; ++n) {
+      mfpga::MultiFpgaHarness fresh(
+          mfpga::build_multi_fpga(c.spec, plan.layer_device, opts, link.credits));
+      const auto r = fresh.run_batch(dfc::report::random_images(c.spec, n));
+      ASSERT_TRUE(r.ok()) << r.error;
+      EXPECT_EQ(table[n - 1], r.total_cycles()) << c.spec.name << " batch " << n;
+      EXPECT_EQ(table[n - 1], c.fill + c.interval * (n - 1)) << c.spec.name << " batch " << n;
+    }
+  }
+}
+
 // --- end-to-end determinism ----------------------------------------------------
 
 TEST(ClusterDeterminismTest, ReportBytesIdenticalAcrossSweepThreads) {
@@ -427,7 +458,7 @@ ClusterConfig reference_fleet_config(const core::NetworkSpec& spec) {
 TEST(ClusterPinTest, ReferenceFleetReportsMatchPinnedHashes) {
   // `dfcnn cluster usps` with its defaults: 40k requests per shape at
   // 2 Mreq/s, seed 7. Both runs scale nodes down as well as up (the diurnal
-  // one has 115 scale events), so the pins cover replica retirement as well
+  // one has 93 scale events), so the pins cover replica retirement as well
   // as the timeline. They are the per-request CSV plus the scorecard JSON of
   // the planner before its event loop learned to skip retired replicas.
   const core::NetworkSpec spec = core::make_usps_preset().compile_spec();
@@ -435,8 +466,8 @@ TEST(ClusterPinTest, ReferenceFleetReportsMatchPinnedHashes) {
   const struct {
     dfc::serve::ArrivalProcess shape;
     std::uint64_t hash;
-  } pins[] = {{dfc::serve::ArrivalProcess::kDiurnal, 0xe0dcaacacb338f0dULL},
-              {dfc::serve::ArrivalProcess::kBursty, 0xe631b1f7b2c55820ULL}};
+  } pins[] = {{dfc::serve::ArrivalProcess::kDiurnal, 0x2dca3a0427d1dc8dULL},
+              {dfc::serve::ArrivalProcess::kBursty, 0xe876038c5f546b75ULL}};
   for (const auto& pin : pins) {
     dfc::serve::LoadSpec ls;
     ls.arrivals = pin.shape;

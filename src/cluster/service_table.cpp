@@ -4,7 +4,6 @@
 #include "common/rng.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
-#include "serve/replica_pool.hpp"
 
 namespace dfc::cluster {
 
@@ -34,23 +33,22 @@ std::vector<std::uint64_t> measure_service_table(const dfc::core::NetworkSpec& s
   DFC_REQUIRE(max_batch > 0, "service table needs a positive max batch size");
   link.validate();
 
-  std::vector<std::uint64_t> table(max_batch, 0);
-  if (boards == 1) {
-    dfc::serve::ReplicaPool pool(spec, 1, options);
-    for (std::size_t n = 1; n <= max_batch; ++n) table[n - 1] = pool.service_cycles(n);
-    return table;
-  }
-
+  // One path for any board count: a one-board "partition" is the whole net
+  // on board 0, built and timed like any other cut.
   const mfpga::MultiFpgaPlan plan =
       mfpga::partition_network_exact(spec, boards, link.link, link.credits);
   dfc::core::BuildOptions opts = options;
   opts.link = link.link;
   mfpga::MultiFpgaHarness harness(
       mfpga::build_multi_fpga(spec, plan.layer_device, opts, link.credits));
+  std::vector<std::uint64_t> table(max_batch, 0);
   for (std::size_t n = 1; n <= max_batch; ++n) {
     const dfc::core::BatchResult res = harness.run_batch(timing_images(spec, n));
-    DFC_CHECK(res.ok(), "multi-board service measurement did not complete (batch size " +
-                            std::to_string(n) + "): " + res.error);
+    if (!res.ok()) {
+      throw SimError("service measurement of " + std::to_string(boards) +
+                     "-board replica did not finish (batch size " + std::to_string(n) +
+                     "): " + res.error);
+    }
     table[n - 1] = res.total_cycles();
   }
   return table;

@@ -41,11 +41,34 @@ dfc::df::Process* build_memory(SimContext& ctx, const std::string& name, const L
 
 }  // namespace
 
-void instantiate(DesignInstance& design, const InterLinkModel& link,
-                 const std::vector<SimContext*>& contexts, const std::vector<DmaBus*>& buses) {
-  const NetworkSpec& spec = design.spec;
-  const BuildOptions& options = design.options;
+std::uint64_t DesignInstance::link_words_transferred() const {
+  std::uint64_t total = 0;
+  for (const auto& w : wires) total += w->words_transferred();
+  return total;
+}
+
+void build_design(DesignInstance& design, const NetworkSpec& spec, const BuildOptions& options,
+                  const std::vector<std::size_t>& cut, int link_credits) {
+  const InterLinkModel link{options.link, link_credits};
+  link.validate();
+  design.spec = spec;
+  design.options = options;
+  design.cut = cut;
+  design.link_credits = link_credits;
+  design.graph = cut.empty() ? elaborate(spec, options) : elaborate(spec, options, cut, link_credits);
   const DesignGraph& graph = design.graph;
+
+  for (const GraphNode& node : graph.nodes) {
+    while (design.contexts.size() <= node.device) {
+      design.contexts.push_back(std::make_unique<SimContext>());
+      design.buses.emplace_back();
+    }
+    const bool dma = node.kind == NodeKind::kDmaSource || node.kind == NodeKind::kDmaSink;
+    if (dma && options.dma_shared_bus && design.buses[node.device] == nullptr) {
+      design.buses[node.device] = std::make_unique<DmaBus>(options.dma_cycles_per_word);
+    }
+  }
+
   design.processes.assign(graph.nodes.size(), nullptr);
   design.fifos.assign(graph.channels.size(), nullptr);
   std::vector<InterLinkWire*> wires(graph.channels.size(), nullptr);
@@ -60,8 +83,8 @@ void instantiate(DesignInstance& design, const InterLinkModel& link,
 
   for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
     const GraphNode& node = graph.nodes[n];
-    SimContext& ctx = *contexts.at(node.device);
-    DmaBus* bus = buses.at(node.device);
+    SimContext& ctx = *design.contexts[node.device];
+    DmaBus* bus = design.buses[node.device].get();
     for (int c : node.outputs) {
       const GraphChannel& ch = graph.channels[static_cast<std::size_t>(c)];
       if (node.kind == NodeKind::kLinkTx) {
@@ -166,14 +189,8 @@ void instantiate(DesignInstance& design, const InterLinkModel& link,
 
 Accelerator build_accelerator(const NetworkSpec& spec, const BuildOptions& options) {
   Accelerator acc;
-  acc.graph = elaborate(spec, options);
-  acc.spec = spec;
-  acc.options = options;
-  acc.ctx = std::make_unique<SimContext>();
-  if (options.dma_shared_bus) {
-    acc.bus = std::make_unique<DmaBus>(options.dma_cycles_per_word);
-  }
-  instantiate(acc, {}, {acc.ctx.get()}, {acc.bus.get()});
+  build_design(acc, spec, options);
+  acc.ctx = acc.contexts.front().get();
   return acc;
 }
 

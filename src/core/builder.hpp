@@ -1,7 +1,8 @@
 // Assembles a NetworkSpec into a simulated accelerator: instantiates the
 // design graph core::elaborate derives (SST memory structures, compute cores,
-// port adapters and the DMA endpoints, wired with FIFO channels) inside one
-// SimContext — or, through mfpga::build_multi_fpga, one context per board.
+// port adapters and the DMA endpoints, wired with FIFO channels) in one
+// SimContext per board — one for build_accelerator, one per segment of the
+// cut for mfpga::build_multi_fpga.
 #pragma once
 
 #include <memory>
@@ -55,13 +56,24 @@ struct BuildOptions {
   ExecutionMode execution_mode = ExecutionMode::kCycleAccurate;
 };
 
-/// A DesignGraph made real: the graph itself, the simulator entity behind
-/// each node and channel, and typed views of the interesting ones. Raw
-/// pointers are stable views into the owning context(s).
+/// A DesignGraph made real: the graph itself, one clock domain per board,
+/// the simulator entity behind each node and channel, and typed views of the
+/// interesting ones. Raw pointers are stable views into the owning contexts.
 struct DesignInstance {
   NetworkSpec spec;
   BuildOptions options;  ///< the options this design was built with
-  DesignGraph graph;     ///< elaborated from spec and options
+  /// Device per layer as given to mfpga::build_multi_fpga; empty for
+  /// build_accelerator's single board (whose names carry no fpga prefix).
+  std::vector<std::size_t> cut;
+  int link_credits = 0;  ///< Tx credit window of every wire (0 = auto)
+  DesignGraph graph;     ///< elaborated from spec, options and the cut
+
+  /// One clock domain per board (GraphNode::device), stepped in lockstep.
+  std::vector<std::unique_ptr<dfc::df::SimContext>> contexts;
+  /// Per board: the shared DMA arbiter of its endpoints (null on a board
+  /// without one, or when options.dma_shared_bus is off).
+  std::vector<std::unique_ptr<DmaBus>> buses;
+
   std::vector<dfc::df::Process*> processes;  ///< per node; null for a filter-chain mem node
   std::vector<dfc::df::FifoBase*> fifos;     ///< per channel; null for an inter-device wire
 
@@ -71,27 +83,30 @@ struct DesignInstance {
   std::vector<dfc::hls::FcnCore*> fcn_cores;
   std::vector<dfc::hls::PoolCore*> pool_cores;
 
-  /// Multi-context board crossings, owned here (a wire belongs to neither
-  /// clock domain); txs/rxs are parallel to wires.
+  /// Board crossings, owned here (a wire belongs to neither clock domain);
+  /// txs/rxs are parallel to wires.
   std::vector<std::unique_ptr<InterLinkWire>> wires;
   std::vector<InterLinkTx*> txs;
   std::vector<InterLinkRx*> rxs;
+
+  /// Total flits delivered across all board crossings (this batch).
+  std::uint64_t link_words_transferred() const;
 };
 
-/// Instantiates `design.graph` in stored order: each node's output FIFOs —
-/// a Tx's inter-device wire — and then the node's process, in
-/// contexts[node.device]. This is the FIFO and process registration order
-/// that fault-site draws and trace entity ids follow. buses[d] (may be null)
-/// arbitrates device d's DMA endpoints; `link` times every wire.
-void instantiate(DesignInstance& design, const InterLinkModel& link,
-                 const std::vector<dfc::df::SimContext*>& contexts,
-                 const std::vector<DmaBus*>& buses);
+/// Elaborates `spec` on `cut` (see DesignInstance::cut) into `design` and
+/// instantiates the graph in stored order: each node's output FIFOs — a Tx's
+/// wire, timed by InterLinkModel{options.link, link_credits} — and then the
+/// node's process, in contexts[node.device]. This is the FIFO and process
+/// registration order that fault-site draws and trace entity ids follow.
+/// With options.dma_shared_bus, each board holding a DMA endpoint gets one
+/// arbiter for its endpoints. Throws verify::VerifyError (a ConfigError) on
+/// an invalid spec or cut.
+void build_design(DesignInstance& design, const NetworkSpec& spec, const BuildOptions& options,
+                  const std::vector<std::size_t>& cut = {}, int link_credits = 0);
 
-/// A built single-context accelerator. The SimContext owns all processes and
-/// FIFOs.
+/// A built single-board accelerator; `ctx` is its one context.
 struct Accelerator : DesignInstance {
-  std::unique_ptr<dfc::df::SimContext> ctx;
-  std::unique_ptr<DmaBus> bus;  ///< shared DMA arbiter (null in private mode)
+  dfc::df::SimContext* ctx = nullptr;
 };
 
 /// Builds the full design: instantiates elaborate(spec, options) in one

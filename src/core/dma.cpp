@@ -107,7 +107,6 @@ void DmaSource::reset() {
   images_started_ = 0;
   images_sent_ = 0;
   inject_cycles_.clear();
-  if (bus_ != nullptr) bus_->reset();
 }
 
 DmaSink::DmaSink(std::string name, dfc::df::Fifo<Flit>& in, std::int64_t values_per_image,

@@ -1,6 +1,7 @@
 #include "core/harness.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -48,77 +49,111 @@ std::int64_t BatchResult::predicted_class(std::size_t i) const {
       std::max_element(logits.begin(), logits.end()) - logits.begin());
 }
 
-AcceleratorHarness::~AcceleratorHarness() = default;
-
-bool AcceleratorHarness::compiled_mode_legal() const {
-  if (acc_.options.execution_mode != ExecutionMode::kCompiledSchedule) return false;
-  const dfc::df::SimContext& ctx = *acc_.ctx;
-  return ctx.cycle_hook() == nullptr && !ctx.observing() && !ctx.paranoid() &&
-         !ctx.integrity_guards_active() && !acc_.sink->stream_guard_enabled();
+std::uint64_t idle_watchdog_cycles(const DesignInstance& design) {
+  std::uint64_t deepest = 0;
+  for (const auto* core : design.conv_cores) {
+    deepest = std::max(deepest, static_cast<std::uint64_t>(core->config().pipeline_latency()));
+  }
+  for (const auto* core : design.fcn_cores) {
+    deepest = std::max(deepest, static_cast<std::uint64_t>(core->config().drain_latency()));
+  }
+  return std::max<std::uint64_t>(100'000, 2 * deepest);
 }
 
-BatchResult AcceleratorHarness::collect(std::uint64_t start_cycle,
-                                        std::size_t requested) const {
-  BatchResult r;
-  r.start_cycle = start_cycle;
-  r.requested = requested;
-  r.inject_cycles = acc_.source->inject_cycles();
-  r.completion_cycles = acc_.sink->completion_cycles();
-  r.outputs = acc_.sink->outputs();
-  r.end_cycle = r.completion_cycles.empty() ? start_cycle : r.completion_cycles.back();
-  return r;
+Harness::Harness(std::unique_ptr<DesignInstance> design)
+    : design_(std::move(design)), idle_limit_(idle_watchdog_cycles(*design_)) {
+  for (const auto& ctx : design_->contexts) contexts_.push_back(ctx.get());
+  trackers_.resize(design_->wires.size());
 }
 
-BatchResult AcceleratorHarness::run_engine(const std::vector<Tensor>& images,
-                                           std::uint64_t max_cycles, bool sequential) {
+Harness::~Harness() = default;
+Harness::Harness(Harness&&) noexcept = default;
+Harness& Harness::operator=(Harness&&) noexcept = default;
+
+bool Harness::compiled_mode_legal() const {
+  if (design_->options.execution_mode != ExecutionMode::kCompiledSchedule || link_attr_ ||
+      design_->sink->stream_guard_enabled()) {
+    return false;
+  }
+  return std::none_of(contexts_.begin(), contexts_.end(), [](const dfc::df::SimContext* ctx) {
+    return ctx->cycle_hook() != nullptr || ctx->observing() || ctx->paranoid() ||
+           ctx->integrity_guards_active();
+  });
+}
+
+void Harness::reset() {
+  // Each run is an independent measurement: without the statistics reset,
+  // FIFO occupancy and stall counts accumulate across batches.
+  for (dfc::df::SimContext* ctx : contexts_) {
+    ctx->reset();
+    ctx->reset_fifo_stats();
+  }
+  for (const auto& bus : design_->buses) {
+    if (bus != nullptr) bus->reset();
+  }
+  for (const auto& w : design_->wires) w->reset();
+  for (auto& t : trackers_) t.reset();
+  link_cycles_ = 0;
+}
+
+BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cycles,
+                         bool sequential) {
+  DFC_REQUIRE(!images.empty(), "a run needs at least one image");
   if (compiled_mode_legal()) return run_compiled(images, max_cycles, sequential);
 
   reset();
-  const std::uint64_t start = acc_.ctx->cycle();
-  RunStatus status = RunStatus::kOk;
-  std::string error;
+  DesignInstance& d = *design_;
+  BatchResult r;
+  r.requested = images.size();
+  const auto observe = [this](std::uint64_t now) { classify_links(now); };
+  const auto run_to = [&](std::size_t want) {
+    dfc::df::run_lockstep(
+        contexts_, [&] { return d.sink->images_completed() >= want; }, max_cycles, idle_limit_,
+        [this] { return fifo_report(); },
+        link_attr_ ? std::function<void(std::uint64_t)>(observe) : nullptr);
+  };
   try {
     if (sequential) {
       for (std::size_t n = 0; n < images.size(); ++n) {
-        acc_.source->enqueue(images[n]);
-        const std::size_t want = n + 1;
-        acc_.ctx->run_until([&] { return acc_.sink->images_completed() >= want; },
-                            max_cycles);
+        d.source->enqueue(images[n]);
+        run_to(n + 1);
       }
     } else {
-      for (const Tensor& img : images) acc_.source->enqueue(img);
-      const std::size_t want = images.size();
-      acc_.ctx->run_until([&] { return acc_.sink->images_completed() >= want; },
-                          max_cycles);
+      for (const Tensor& img : images) d.source->enqueue(img);
+      run_to(images.size());
     }
   } catch (const TimeoutError& e) {
-    status = RunStatus::kTimeout;
-    error = e.what();
+    r.status = RunStatus::kTimeout;
+    r.error = e.what();
   } catch (const DeadlockError& e) {
-    status = RunStatus::kDeadlock;
-    error = e.what();
+    r.status = RunStatus::kDeadlock;
+    r.error = e.what();
   }
 
-  BatchResult r = collect(start, images.size());
-  r.status = status;
-  r.error = std::move(error);
+  r.inject_cycles = d.source->inject_cycles();
+  r.completion_cycles = d.sink->completion_cycles();
+  r.outputs = d.sink->outputs();
   // A partial run's span is the cycles actually burnt, not the last
   // completion before the abort.
-  if (!r.ok()) r.end_cycle = acc_.ctx->cycle();
+  r.end_cycle = !r.ok()                       ? contexts_.front()->cycle()
+                : r.completion_cycles.empty() ? 0
+                                              : r.completion_cycles.back();
   return r;
 }
 
-BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
-                                             std::uint64_t max_cycles, bool sequential) {
+BatchResult Harness::run_compiled(const std::vector<Tensor>& images, std::uint64_t max_cycles,
+                                  bool sequential) {
+  const DesignInstance& d = *design_;
   auto& slot = sequential ? sequential_schedule_ : batch_schedule_;
   if (slot == nullptr) {
-    slot = shared_schedule(acc_.spec, acc_.options,
-                           sequential ? ScheduleMode::kSequential : ScheduleMode::kBatch);
+    slot = shared_schedule(d.spec, d.options,
+                           sequential ? ScheduleMode::kSequential : ScheduleMode::kBatch, d.cut,
+                           d.link_credits);
   }
-  if (functional_ == nullptr) functional_ = shared_functional_model(acc_.spec);
+  if (functional_ == nullptr) functional_ = shared_functional_model(d.spec);
   const CompiledSchedule& sched = *slot;
 
-  // Leave the context in the same power-on state a cycle-level run starts
+  // Leave the contexts in the same power-on state a cycle-level run starts
   // from, so mixing engines on one harness never sees stale sink data.
   reset();
 
@@ -126,9 +161,10 @@ BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
   r.start_cycle = 0;
   r.requested = images.size();
 
-  // Replay the schedule, applying the same cycle budget run_until enforces:
-  // in batch mode one budget spans the whole run; in sequential mode each
-  // image gets its own budget starting one cycle after the previous drain.
+  // Replay the schedule, applying the same cycle budget run_lockstep
+  // enforces: in batch mode one budget spans the whole run; in sequential
+  // mode each image gets its own budget starting one cycle after the
+  // previous drain.
   std::uint64_t abort_cycle = 0;
   std::size_t completed = images.size();
   for (std::size_t i = 0; i < images.size(); ++i) {
@@ -139,7 +175,7 @@ BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
       r.status = RunStatus::kTimeout;
       abort_cycle = window_start + max_cycles;
       completed = i;
-      r.error = "run_until exceeded " + std::to_string(max_cycles) +
+      r.error = "run exceeded " + std::to_string(max_cycles) +
                 " cycles (compiled schedule: image " + std::to_string(i) +
                 " completes at cycle " + std::to_string(sched.completion_cycle(i)) + ")";
       break;
@@ -158,30 +194,140 @@ BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
   return r;
 }
 
-BatchResult AcceleratorHarness::run_batch(const std::vector<Tensor>& images,
-                                          std::uint64_t max_cycles) {
-  DFC_REQUIRE(!images.empty(), "run_batch needs at least one image");
-  return run_engine(images, max_cycles, /*sequential=*/false);
+BatchResult Harness::run_batch(const std::vector<Tensor>& images, std::uint64_t max_cycles) {
+  return run(images, max_cycles, /*sequential=*/false);
 }
 
-BatchResult AcceleratorHarness::run_sequential(const std::vector<Tensor>& images,
-                                               std::uint64_t max_cycles) {
-  DFC_REQUIRE(!images.empty(), "run_sequential needs at least one image");
-  return run_engine(images, max_cycles, /*sequential=*/true);
+BatchResult Harness::run_sequential(const std::vector<Tensor>& images,
+                                    std::uint64_t max_cycles) {
+  return run(images, max_cycles, /*sequential=*/true);
 }
 
-std::vector<float> AcceleratorHarness::run_image(const Tensor& image) {
+std::vector<float> Harness::run_image(const Tensor& image) {
   const BatchResult r = run_batch({image});
   DFC_CHECK(r.ok(), std::string("run_image did not complete: ") + run_status_name(r.status));
   return r.outputs.front();
 }
 
-void AcceleratorHarness::reset() {
-  acc_.ctx->reset();
-  // Each run is an independent measurement: without this, FIFO occupancy and
-  // stall statistics accumulate across batches and every report after the
-  // first describes a mixture of runs.
-  acc_.ctx->reset_fifo_stats();
+dfc::df::FifoBase* Harness::find_fifo(const std::string& name) {
+  for (dfc::df::SimContext* ctx : contexts_) {
+    if (dfc::df::FifoBase* f = ctx->find_fifo(name)) return f;
+  }
+  return nullptr;
+}
+
+std::string Harness::fifo_report() const {
+  const DesignInstance& d = *design_;
+  std::string report;
+  for (std::size_t b = 0; b < contexts_.size(); ++b) {
+    // The layer range of the board's compute cores (a cut is contiguous).
+    std::vector<std::size_t> layers;
+    for (const GraphNode& node : d.graph.nodes) {
+      if (node.device == b && is_compute_core(node.kind)) layers.push_back(node.layer);
+    }
+    report += "device " + std::to_string(b);
+    if (!layers.empty()) {
+      report += " (layers " + std::to_string(layers.front()) + ".." +
+                std::to_string(layers.back()) + ")";
+    }
+    report += ":\n" + contexts_[b]->fifo_report();
+  }
+  const std::uint64_t now = contexts_.front()->cycle();
+  if (!d.wires.empty()) {
+    report += "interlink channels (" + std::to_string(d.wires.size()) + " wires):\n";
+  }
+  auto fifo_line = [](const char* role, const dfc::df::FifoBase& f) {
+    const dfc::df::FifoStats& st = f.lifetime_stats();
+    return std::string("    ") + role + " " + f.name() + ": " + std::to_string(f.size()) +
+           "/" + std::to_string(f.capacity()) + " (pushes=" + std::to_string(st.pushes) +
+           " pops=" + std::to_string(st.pops) + " max=" + std::to_string(st.max_occupancy) +
+           " full_stalls=" + std::to_string(st.full_stall_cycles) +
+           " empty_stalls=" + std::to_string(st.empty_stall_cycles) + ")\n";
+  };
+  for (std::size_t i = 0; i < d.wires.size(); ++i) {
+    const auto& w = *d.wires[i];
+    report += "  wire " + w.name() + ": words=" + std::to_string(w.words_transferred()) +
+              " credits=" + std::to_string(w.credits_available(now)) + "/" +
+              std::to_string(w.model().effective_credits()) +
+              " tx_credit_stalls=" + std::to_string(d.txs[i]->credit_stall_cycles()) +
+              (w.idle(now) ? "" : " (in flight)") + "\n";
+    // The boundary FIFOs either side of the wire, with the same stall columns
+    // as the per-board tables: the Tx drains the upstream egress FIFO, the
+    // Rx fills the downstream ingress FIFO.
+    report += fifo_line("tx_fifo", d.txs[i]->input());
+    report += fifo_line("rx_fifo", d.rxs[i]->output());
+  }
+  if (link_cycles_ > 0) {
+    report += "interlink attribution (" + std::to_string(link_cycles_) + " cycles):\n";
+    for (std::size_t i = 0; i < d.wires.size(); ++i) {
+      const obs::LinkActivity& a = trackers_[i].counts();
+      report += "  " + d.wires[i]->name() + ": wire_busy=" + std::to_string(a.wire_busy) +
+                " credit_stall=" + std::to_string(a.credit_stall) +
+                " rx_backpressure=" + std::to_string(a.rx_backpressure) +
+                " idle=" + std::to_string(a.idle) + "\n";
+    }
+  }
+  return report;
+}
+
+void Harness::attach_traces(const std::vector<obs::TraceSink*>& sinks) {
+  DFC_REQUIRE(sinks.size() == contexts_.size(), "attach_traces needs exactly one sink per board");
+  for (std::size_t b = 0; b < sinks.size(); ++b) contexts_[b]->attach_trace(sinks[b]);
+}
+
+void Harness::detach_traces() {
+  for (dfc::df::SimContext* ctx : contexts_) ctx->attach_trace(nullptr);
+}
+
+void Harness::attach_link_trace(obs::TraceSink* sink) {
+  DFC_REQUIRE(sink != nullptr, "attach_link_trace needs a sink (detach_link_trace to stop)");
+  DFC_REQUIRE(link_trace_ == nullptr, "a link trace sink is already attached");
+  link_trace_ = sink;
+  link_ids_.clear();
+  link_ids_.reserve(design_->wires.size());
+  for (const auto& w : design_->wires) {
+    link_ids_.push_back(sink->register_entity(w->name(), obs::EntityKind::kLink));
+  }
+  link_attr_ = true;
+}
+
+void Harness::detach_link_trace() {
+  link_trace_ = nullptr;
+  link_ids_.clear();
+}
+
+void Harness::classify_links(std::uint64_t now) {
+  const DesignInstance& d = *design_;
+  for (std::size_t i = 0; i < d.wires.size(); ++i) {
+    const InterLinkWire& wire = *d.wires[i];
+    const InterLinkTx& tx = *d.txs[i];
+    const InterLinkRx& rx = *d.rxs[i];
+    const int credits = wire.credits_available(now);
+
+    // Priority rx_backpressure > credit_stall > wire_busy: exactly one bucket
+    // per cycle, so the per-link splits sum to link_observed_cycles().
+    obs::LinkState s = obs::LinkState::kIdle;
+    if (rx.backpressured(now)) {
+      s = obs::LinkState::kRxBackpressure;
+    } else if (tx.wants_send(now) && credits <= 0) {
+      s = obs::LinkState::kCreditStall;
+    } else if (tx.wants_send(now) || tx.serializing(now) || wire.has_data()) {
+      s = obs::LinkState::kWireBusy;
+    }
+    const std::uint32_t id = link_ids_.empty() ? 0 : link_ids_[i];
+    trackers_[i].tick(s, now, link_trace_, id);
+    trackers_[i].credits(static_cast<std::uint32_t>(credits < 0 ? 0 : credits), now,
+                         link_trace_, id);
+  }
+  ++link_cycles_;
+}
+
+void Harness::enable_integrity_guards(dfc::df::FaultListener* listener, float range_bound) {
+  for (dfc::df::SimContext* ctx : contexts_) ctx->enable_integrity_guards(listener, range_bound);
+}
+
+void Harness::disable_integrity_guards() {
+  for (dfc::df::SimContext* ctx : contexts_) ctx->disable_integrity_guards();
 }
 
 }  // namespace dfc::core

@@ -10,9 +10,10 @@
 // cycle-accurate two-phase scheduler (ground truth), or the compiled static
 // schedule (core/schedule.hpp) that replays per-image inject/completion
 // cycles and bit-identical logits without per-cycle FIFO handshakes. The
-// compiled path falls back to the cycle engine automatically whenever the
-// context is observed or perturbed (trace, stall accounting, fault hook,
-// integrity/stream guards, paranoid mode) — see compiled_mode_legal().
+// compiled path falls back to the cycle engine automatically whenever any
+// board is observed or perturbed (trace, stall accounting, fault hook,
+// integrity/stream guards, link attribution, paranoid mode) — see
+// compiled_mode_legal(). Both work for any board count.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "core/builder.hpp"
+#include "obs/activity.hpp"
+#include "obs/trace.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dfc::core {
@@ -96,10 +99,19 @@ struct BatchResult {
   std::int64_t predicted_class(std::size_t i) const;
 };
 
-class AcceleratorHarness {
+/// The one harness (DESIGN.md §11): drives a DesignInstance of any board
+/// count through run_lockstep() — a single board is one context in the
+/// lockstep — and owns everything between runs: reset of every context,
+/// FIFO statistic, DMA bus and wire; batch and sequential modes; traces,
+/// link attribution and integrity guards; and the compiled path with the
+/// guards that force the cycle engine. AcceleratorHarness and
+/// mfpga::MultiFpgaHarness only name the design type.
+class Harness {
  public:
-  explicit AcceleratorHarness(Accelerator acc) : acc_(std::move(acc)) {}
-  ~AcceleratorHarness();
+  explicit Harness(std::unique_ptr<DesignInstance> design);
+  ~Harness();
+  Harness(Harness&&) noexcept;
+  Harness& operator=(Harness&&) noexcept;
 
   /// Streams the whole batch back to back (pipelined mode). A run that
   /// exhausts `max_cycles` or deadlocks returns a partial BatchResult with
@@ -109,7 +121,8 @@ class AcceleratorHarness {
                         std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
 
   /// Processes images one at a time, draining the design between images
-  /// (no high-level pipeline). Same partial-result semantics as run_batch.
+  /// (no high-level pipeline); each image gets its own `max_cycles` budget.
+  /// Same partial-result semantics as run_batch.
   BatchResult run_sequential(const std::vector<Tensor>& images,
                              std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
 
@@ -117,33 +130,107 @@ class AcceleratorHarness {
   /// the image does not complete (use run_batch for classifiable timeouts).
   std::vector<float> run_image(const Tensor& image);
 
-  Accelerator& accelerator() { return acc_; }
-  const NetworkSpec& spec() const { return acc_.spec; }
+  const NetworkSpec& spec() const { return design_->spec; }
 
-  /// True when this harness would take the compiled-schedule fast path on
-  /// the next run: the design was built with
-  /// ExecutionMode::kCompiledSchedule and nothing forces cycle-level
-  /// stepping (no cycle hook, no trace/stall accounting, no integrity or
-  /// stream guard, not paranoid).
+  /// True when the next run would take the compiled-schedule fast path: the
+  /// design was built with ExecutionMode::kCompiledSchedule and nothing on
+  /// any board forces cycle-level stepping (no cycle hook, no trace or stall
+  /// accounting, no integrity guard, not paranoid; no stream guard on the
+  /// sink, no link attribution).
   bool compiled_mode_legal() const;
 
   /// Resets the whole design to its power-on state.
   void reset();
 
+  std::size_t device_count() const { return design_->contexts.size(); }
+  dfc::df::SimContext& device_context(std::size_t d) { return *design_->contexts.at(d); }
+
+  /// Consecutive cycles without FIFO activity on any board tolerated before
+  /// kDeadlock. Defaults to idle_watchdog_cycles() of the design.
+  void set_idle_limit(std::uint64_t cycles) { idle_limit_ = cycles; }
+
+  /// Looks a FIFO up by name across all boards.
+  dfc::df::FifoBase* find_fifo(const std::string& name);
+
+  /// Per-board FIFO occupancy/stall report plus the board crossings.
+  std::string fifo_report() const;
+
+  /// Attaches one fresh TraceSink per board (sinks.size() must equal
+  /// device_count()). Pass fresh sinks again after detach_traces() to
+  /// re-trace.
+  void attach_traces(const std::vector<obs::TraceSink*>& sinks);
+  void detach_traces();
+
+  /// Per-link cycle attribution: classifies every global cycle of the next
+  /// run into credit_stall / wire_busy / rx_backpressure / idle per wire
+  /// (see obs::LinkState). Classification reads start-of-cycle state —
+  /// lockstep-stable, so the splits are byte-identical across thread counts
+  /// — and the buckets sum exactly to link_observed_cycles(). While enabled,
+  /// fast-forward is off so no cycle escapes classification.
+  void set_link_attribution(bool on) { link_attr_ = on || link_trace_ != nullptr; }
+  bool link_attribution() const { return link_attr_; }
+
+  /// Attaches a sink for kLinkState/kLinkCredits events (one kLink entity
+  /// per wire, registered on attach); implies link attribution. The sink may
+  /// be merged with per-board sinks via mfpga::merge_traces.
+  void attach_link_trace(obs::TraceSink* sink);
+  void detach_link_trace();
+
+  /// Attribution results for wire `i` (parallel to the design's wires),
+  /// accumulated over the cycles of the last run.
+  const obs::LinkActivity& link_activity(std::size_t i) const {
+    return trackers_.at(i).counts();
+  }
+  /// Global cycles classified during the last run (0 when attribution was
+  /// off). Every classified cycle lands in exactly one bucket per link.
+  std::uint64_t link_observed_cycles() const { return link_cycles_; }
+
+  /// Arms/disarms checksum+sequence integrity guards on every FIFO of every
+  /// board (link ingress FIFOs included).
+  void enable_integrity_guards(dfc::df::FaultListener* listener, float range_bound);
+  void disable_integrity_guards();
+
+ protected:
+  DesignInstance& design() { return *design_; }
+
  private:
-  BatchResult collect(std::uint64_t start_cycle, std::size_t requested) const;
-  BatchResult run_engine(const std::vector<Tensor>& images, std::uint64_t max_cycles,
-                         bool sequential);
+  BatchResult run(const std::vector<Tensor>& images, std::uint64_t max_cycles,
+                  bool sequential);
   BatchResult run_compiled(const std::vector<Tensor>& images, std::uint64_t max_cycles,
                            bool sequential);
+  void classify_links(std::uint64_t now);
 
-  Accelerator acc_;
+  std::unique_ptr<DesignInstance> design_;
+  std::vector<dfc::df::SimContext*> contexts_;  ///< lockstep order: board order
+  std::uint64_t idle_limit_;
+
+  bool link_attr_ = false;
+  obs::TraceSink* link_trace_ = nullptr;
+  std::vector<std::uint32_t> link_ids_;     ///< entity ids in link_trace_
+  std::vector<obs::LinkTracker> trackers_;  ///< parallel to the wires
+  std::uint64_t link_cycles_ = 0;
+
   // Lazily fetched state of the fast path; absent until first used. Both are
   // process-wide shared: the schedule by timing fingerprint, the functional
   // model (with its logits memo) by full network content.
   std::shared_ptr<const CompiledSchedule> batch_schedule_;
   std::shared_ptr<const CompiledSchedule> sequential_schedule_;
   std::shared_ptr<const FunctionalModel> functional_;
+};
+
+/// The idle watchdog of a design: a legal design is silent (no FIFO moves on
+/// any board) at most while one core's operator pipeline drains — a conv
+/// position's multiply, adder tree and accumulate, or an FCN's lane
+/// reduction — so the limit is twice the deepest such pipeline, and never
+/// below 100 000 cycles.
+std::uint64_t idle_watchdog_cycles(const DesignInstance& design);
+
+/// The harness of a build_accelerator design.
+class AcceleratorHarness final : public Harness {
+ public:
+  explicit AcceleratorHarness(Accelerator acc)
+      : Harness(std::make_unique<Accelerator>(std::move(acc))) {}
+  Accelerator& accelerator() { return static_cast<Accelerator&>(design()); }
 };
 
 }  // namespace dfc::core

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/builder.hpp"
+#include "core/harness.hpp"
 
 namespace dfc::core {
 
@@ -24,44 +25,19 @@ std::size_t initial_calibration_batch(const NetworkSpec& spec) {
 constexpr std::size_t kMaxCalibrationBatch = 512;
 constexpr std::size_t kMinRepeats = 3;
 
-struct Calibration {
-  std::vector<std::uint64_t> inject;
-  std::vector<std::uint64_t> complete;
-};
-
-/// One cycle-accurate run of `n` images (timing is data-independent, so the
-/// images are all-zero tensors).
-Calibration calibrate(const NetworkSpec& spec, const BuildOptions& options,
-                      ScheduleMode mode, std::size_t n) {
-  BuildOptions cycle_options = options;
-  cycle_options.execution_mode = ExecutionMode::kCycleAccurate;
-  Accelerator acc = build_accelerator(spec, cycle_options);
-  const Tensor zero(spec.input_shape);
-
-  if (mode == ScheduleMode::kBatch) {
-    for (std::size_t i = 0; i < n; ++i) acc.source->enqueue(zero);
-    acc.ctx->run_until([&] { return acc.sink->images_completed() >= n; });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc.source->enqueue(zero);
-      const std::size_t want = i + 1;
-      acc.ctx->run_until([&] { return acc.sink->images_completed() >= want; });
-    }
-  }
-  return {acc.source->inject_cycles(), acc.sink->completion_cycles()};
-}
-
 /// Smallest image period p such that the last kMinRepeats periods of both
 /// the inject and the completion streams repeat with one common cycle
 /// length. Returns 0 when no period fits in the calibrated tail.
-std::size_t detect_period(const Calibration& cal, std::uint64_t& period_cycles_out) {
-  const std::size_t n = cal.inject.size();
+std::size_t detect_period(const BatchResult& cal, std::uint64_t& period_cycles_out) {
+  const std::vector<std::uint64_t>& inject = cal.inject_cycles;
+  const std::vector<std::uint64_t>& complete = cal.completion_cycles;
+  const std::size_t n = inject.size();
   for (std::size_t p = 1; kMinRepeats * p + 1 <= n; ++p) {
-    const std::uint64_t period_cycles = cal.complete[n - 1] - cal.complete[n - 1 - p];
+    const std::uint64_t period_cycles = complete[n - 1] - complete[n - 1 - p];
     bool ok = true;
     for (std::size_t i = n - 1 - kMinRepeats * p; ok && i + p <= n - 1; ++i) {
-      ok = cal.complete[i + p] - cal.complete[i] == period_cycles &&
-           cal.inject[i + p] - cal.inject[i] == period_cycles;
+      ok = complete[i + p] - complete[i] == period_cycles &&
+           inject[i + p] - inject[i] == period_cycles;
     }
     if (ok) {
       period_cycles_out = period_cycles;
@@ -74,19 +50,31 @@ std::size_t detect_period(const Calibration& cal, std::uint64_t& period_cycles_o
 }  // namespace
 
 CompiledSchedule compile_schedule(const NetworkSpec& spec, const BuildOptions& options,
-                                  ScheduleMode mode) {
+                                  ScheduleMode mode, const std::vector<std::size_t>& cut,
+                                  int link_credits) {
+  // A cycle-accurate twin, calibrated on the one harness; timing is
+  // data-independent, so the images are all-zero tensors.
+  BuildOptions cycle_options = options;
+  cycle_options.execution_mode = ExecutionMode::kCycleAccurate;
+  auto twin = std::make_unique<DesignInstance>();
+  build_design(*twin, spec, cycle_options, cut, link_credits);
+  Harness harness(std::move(twin));
   for (std::size_t n = initial_calibration_batch(spec); n <= kMaxCalibrationBatch; n *= 2) {
-    const Calibration cal = calibrate(spec, options, mode, n);
-    DFC_CHECK(cal.inject.size() == n && cal.complete.size() == n,
-              "calibration run lost images");
+    const std::vector<Tensor> zeros(n, Tensor(spec.input_shape));
+    BatchResult cal = mode == ScheduleMode::kBatch ? harness.run_batch(zeros)
+                                                   : harness.run_sequential(zeros);
+    if (!cal.ok()) {
+      throw SimError("compile_schedule: calibration of '" + spec.name + "' did not finish (" +
+                     run_status_name(cal.status) + "): " + cal.error);
+    }
     std::uint64_t period_cycles = 0;
     const std::size_t period_images = detect_period(cal, period_cycles);
     if (period_images == 0) continue;
 
     CompiledSchedule sched;
     sched.mode_ = mode;
-    sched.inject_prefix_ = cal.inject;
-    sched.complete_prefix_ = cal.complete;
+    sched.inject_prefix_ = std::move(cal.inject_cycles);
+    sched.complete_prefix_ = std::move(cal.completion_cycles);
     sched.period_images_ = period_images;
     sched.period_cycles_ = period_cycles;
     return sched;
@@ -99,15 +87,18 @@ CompiledSchedule compile_schedule(const NetworkSpec& spec, const BuildOptions& o
 }
 
 std::string schedule_cache_key(const NetworkSpec& spec, const BuildOptions& options,
-                               ScheduleMode mode) {
+                               ScheduleMode mode, const std::vector<std::size_t>& cut,
+                               int link_credits) {
   std::ostringstream key;
   key << "mode=" << static_cast<int>(mode) << ";in=" << spec.input_shape.str()
       << ";lat=" << spec.latency.fmul << ',' << spec.latency.fadd
       << ";fifo=" << options.stream_fifo_capacity << ',' << options.window_fifo_capacity
       << ";dma=" << options.dma_cycles_per_word << ',' << (options.dma_shared_bus ? 1 : 0)
-      << ";link=" << options.link.latency_cycles << ',' << options.link.cycles_per_word
-      << ";dev=";
+      << ";link=" << options.link.latency_cycles << ',' << options.link.cycles_per_word << ','
+      << link_credits << ";dev=";
   for (const std::size_t d : options.layer_device) key << d << '.';
+  key << ";cut=";
+  for (const std::size_t d : cut) key << d << '.';
   for (const LayerSpec& layer : spec.layers) {
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
       key << ";conv(" << conv->in_shape.str() << ',' << conv->out_fm << ',' << conv->kh << 'x'
@@ -137,15 +128,18 @@ std::map<std::string, std::shared_ptr<const CompiledSchedule>>& schedule_cache()
 
 std::shared_ptr<const CompiledSchedule> shared_schedule(const NetworkSpec& spec,
                                                         const BuildOptions& options,
-                                                        ScheduleMode mode) {
-  const std::string key = schedule_cache_key(spec, options, mode);
+                                                        ScheduleMode mode,
+                                                        const std::vector<std::size_t>& cut,
+                                                        int link_credits) {
+  const std::string key = schedule_cache_key(spec, options, mode, cut, link_credits);
   // The compile runs under the lock on purpose: sweep workers asking for the
   // same design serialize on one calibration instead of each paying it.
   std::lock_guard<std::mutex> lock(g_schedule_cache_mutex);
   auto& cache = schedule_cache();
   auto it = cache.find(key);
   if (it != cache.end()) return it->second;
-  auto sched = std::make_shared<const CompiledSchedule>(compile_schedule(spec, options, mode));
+  auto sched = std::make_shared<const CompiledSchedule>(
+      compile_schedule(spec, options, mode, cut, link_credits));
   cache.emplace(key, sched);
   return sched;
 }

@@ -10,8 +10,9 @@
 // cycle-identical to the engine — and the logits come from the bit-exact
 // functional model (core/functional_model.hpp).
 //
-// Compilation is per (structural design, build options, schedule mode) and
-// cached process-wide, because sweeps build a fresh accelerator per point:
+// Compilation is per (structural design, build options, board cut and credit
+// window, schedule mode) and cached process-wide, because sweeps build a
+// fresh accelerator per point:
 // the first point pays one short calibration run, every other point replays.
 // Weights are deliberately not part of the cache key — timing does not
 // depend on them, which is exactly the property the DSE consistency test
@@ -62,7 +63,7 @@ class CompiledSchedule {
 
  private:
   friend CompiledSchedule compile_schedule(const NetworkSpec&, const BuildOptions&,
-                                           ScheduleMode);
+                                           ScheduleMode, const std::vector<std::size_t>&, int);
 
   std::uint64_t extrapolate(const std::vector<std::uint64_t>& prefix, std::size_t i) const {
     if (i < prefix.size()) return prefix[i];
@@ -80,26 +81,30 @@ class CompiledSchedule {
   std::uint64_t period_cycles_ = 0;
 };
 
-/// Lowers the design into a CompiledSchedule: builds a cycle-accurate twin,
-/// runs a growing calibration batch until both the inject and completion
-/// streams repeat with a common period, and records prefix + period. Throws
-/// InternalError if no steady period emerges (which would contradict the
-/// data-independent static schedule the whole design is built on).
+/// Lowers the design of build_design(spec, options, cut, link_credits) into
+/// a CompiledSchedule: runs a growing calibration batch through the harness's
+/// cycle engine on a twin until both the inject and completion streams repeat
+/// with a common period, and records prefix + period. Throws SimError if a
+/// calibration run does not finish, InternalError if no steady period
+/// emerges (which would contradict the data-independent static schedule the
+/// whole design is built on).
 CompiledSchedule compile_schedule(const NetworkSpec& spec, const BuildOptions& options,
-                                  ScheduleMode mode);
+                                  ScheduleMode mode, const std::vector<std::size_t>& cut = {},
+                                  int link_credits = 0);
 
 /// Structural fingerprint of everything that determines timing: shapes,
-/// ports, operator latencies, FIFO capacities, DMA/link parameters and the
-/// schedule mode — but not weights or biases.
+/// ports, operator latencies, FIFO capacities, DMA/link parameters, the cut
+/// and credit window, and the schedule mode — but not weights or biases.
 std::string schedule_cache_key(const NetworkSpec& spec, const BuildOptions& options,
-                               ScheduleMode mode);
+                               ScheduleMode mode, const std::vector<std::size_t>& cut = {},
+                               int link_credits = 0);
 
 /// Process-wide memoized compile_schedule. Thread-safe; a cache hit is a
 /// shared_ptr copy, a miss compiles while holding the cache lock (sweep
 /// workers asking for the same design compile it exactly once).
-std::shared_ptr<const CompiledSchedule> shared_schedule(const NetworkSpec& spec,
-                                                        const BuildOptions& options,
-                                                        ScheduleMode mode);
+std::shared_ptr<const CompiledSchedule> shared_schedule(
+    const NetworkSpec& spec, const BuildOptions& options, ScheduleMode mode,
+    const std::vector<std::size_t>& cut = {}, int link_credits = 0);
 
 /// Drops every cached schedule (tests; also frees memory after large DSE runs).
 void clear_schedule_cache();

@@ -192,47 +192,65 @@ std::uint64_t SimContext::fast_forward_candidate() {
 
 std::uint64_t SimContext::fast_forward(std::uint64_t limit_cycle) {
   const std::uint64_t wake = fast_forward_candidate();
-  if (wake == 0) return 0;
-
-  // Jump to the earliest of: the next wake, the caller's cycle budget, and
-  // the cycle at which the idle watchdog fires — so errors and predicate
-  // checks happen at exactly the same cycle as under the naive loop.
-  std::uint64_t target = wake;
-  const std::uint64_t idle_left = idle_limit_ >= idle_cycles_ ? idle_limit_ - idle_cycles_ + 1 : 0;
-  if (idle_left < target - cycle_) target = cycle_ + idle_left;
-  if (limit_cycle < target) target = limit_cycle;
-  if (target <= cycle_) return 0;
-
+  const std::uint64_t target = std::min(wake, limit_cycle);
+  if (wake == 0 || target <= cycle_) return 0;
   const std::uint64_t jumped = target - cycle_;
   cycle_ = target;
   idle_cycles_ += jumped;
   return jumped;
 }
 
-void SimContext::throw_deadlock() const {
-  throw DeadlockError("deadlock: no FIFO activity for " + std::to_string(idle_cycles_) +
-                      " cycles at cycle " + std::to_string(cycle_) + "\n" + fifo_report());
-}
-
 std::uint64_t SimContext::run_until(const std::function<bool()>& finished,
                                     std::uint64_t max_cycles) {
-  const std::uint64_t start = cycle_;
-  idle_cycles_ = 0;
-  const std::uint64_t budget_cycle =
+  return run_lockstep({this}, finished, max_cycles, idle_limit_, [this] { return fifo_report(); });
+}
+
+std::uint64_t run_lockstep(const std::vector<SimContext*>& contexts,
+                           const std::function<bool()>& finished, std::uint64_t max_cycles,
+                           std::uint64_t idle_limit, const std::function<std::string()>& report,
+                           const std::function<void(std::uint64_t)>& observe) {
+  const SimContext& clock = *contexts.front();
+  const std::uint64_t start = clock.cycle();
+  const std::uint64_t budget_end =
       max_cycles > Process::kNeverWake - start ? Process::kNeverWake : start + max_cycles;
+  std::uint64_t idle = 0;  // consecutive cycles idle on every context
   while (!finished()) {
-    if (cycle_ - start >= max_cycles) {
-      throw TimeoutError("run_until exceeded " + std::to_string(max_cycles) +
-                         " cycles\n" + fifo_report());
+    const std::uint64_t now = clock.cycle();
+    if (now >= budget_end) {
+      throw TimeoutError("run exceeded " + std::to_string(max_cycles) + " cycles\n" + report());
     }
-    step();
-    if (idle_cycles_ > idle_limit_) throw_deadlock();
-    if (idle_cycles_ > 0) {
-      fast_forward(budget_cycle);
-      if (idle_cycles_ > idle_limit_) throw_deadlock();
+    if (observe) observe(now);
+    bool active = false;
+    for (SimContext* ctx : contexts) {
+      ctx->step();
+      active = active || ctx->idle_cycles() == 0;
+    }
+    idle = active ? 0 : idle + 1;
+    if (!active && !observe) {
+      // Jump only when every context can, and no further than the first
+      // wake any declares, the budget, or the watchdog's firing cycle.
+      const std::uint64_t here = clock.cycle();
+      const std::uint64_t idle_left = idle_limit >= idle ? idle_limit - idle + 1 : 0;
+      std::uint64_t target = here + std::min(budget_end - here, idle_left);
+      for (SimContext* ctx : contexts) {
+        const std::uint64_t wake = ctx->fast_forward_candidate();
+        if (wake == 0) {
+          target = here;
+          break;
+        }
+        target = std::min(target, wake);
+      }
+      if (target > here) {
+        for (SimContext* ctx : contexts) ctx->fast_forward(target);
+        idle += target - here;
+      }
+    }
+    if (idle > idle_limit) {
+      throw DeadlockError("deadlock: no FIFO activity for " + std::to_string(idle) +
+                          " cycles at cycle " + std::to_string(clock.cycle()) + "\n" + report());
     }
   }
-  return cycle_ - start;
+  return clock.cycle() - start;
 }
 
 void SimContext::reset() {

@@ -22,12 +22,14 @@
 // check used by tests; set_activity_aware(false) selects the plain naive
 // loop.
 //
+// run_lockstep() is the one run loop, for one context or several clock
+// domains in lockstep (one per board); run_until() is its one-context case.
 // A watchdog detects deadlocks/livelocks: if no FIFO transfers at all for
-// `idle_limit` consecutive cycles while a run_until predicate is still
-// unsatisfied, the context throws SimError with an occupancy dump — this
-// catches mis-sized FIFOs and protocol bugs the same way a hung HLS cosim
-// would. fast_forward() accounts jumped cycles as idle, so the watchdog and
-// cycle budget fire at exactly the same cycle as under the naive loop.
+// `idle_limit` consecutive cycles while the predicate is still unsatisfied,
+// the loop throws DeadlockError with an occupancy dump — this catches
+// mis-sized FIFOs and protocol bugs the same way a hung HLS cosim would.
+// Fast-forwarded cycles count as idle, so the watchdog and the cycle budget
+// fire at exactly the same cycle as under the naive loop.
 //
 // Observation mode (attach_trace / set_stall_accounting) layers cycle-exact
 // visibility on top: every FIFO push/pop/stall emits a TraceSink event and
@@ -104,34 +106,31 @@ class SimContext {
   /// Advances exactly one clock cycle.
   void step();
 
-  /// Runs until `finished()` returns true; returns cycles elapsed during this
-  /// call. Throws SimError on deadlock or when `max_cycles` is exceeded.
-  /// `finished` must be a pure function of simulation state (processes and
-  /// FIFOs): in activity-aware mode it is not evaluated inside fast-forwarded
-  /// idle windows, where that state provably cannot change.
+  /// run_lockstep() over this context alone, with its own idle limit and
+  /// fifo_report(); returns cycles elapsed during this call. Throws
+  /// TimeoutError/DeadlockError (SimErrors).
   std::uint64_t run_until(const std::function<bool()>& finished,
                           std::uint64_t max_cycles = kDefaultMaxCycles);
 
   /// If the last step() had no FIFO activity and every process is skippable
   /// and quiescent, jumps the clock to the earliest cached wake_cycle()
-  /// (clamped to `limit_cycle` and to the idle watchdog threshold), counting
-  /// the jumped cycles as idle. Returns the number of cycles jumped (0 when
-  /// no jump is possible). run_until() calls this automatically.
+  /// (clamped to `limit_cycle`), counting the jumped cycles as idle. Returns
+  /// the number of cycles jumped (0 when no jump is possible). The watchdog
+  /// clamp is run_lockstep()'s.
   std::uint64_t fast_forward(std::uint64_t limit_cycle = Process::kNeverWake);
 
   /// The cycle fast_forward() would jump to right now, or 0 when no jump is
   /// possible (some process may act, the scheduler mode forbids skipping, or
   /// the last cycle saw FIFO activity). Does not advance the clock; may fill
-  /// lazy wake caches. The multi-FPGA executor uses this to pick a common
-  /// jump target across several lockstepped contexts before committing any
-  /// of them.
+  /// lazy wake caches. run_lockstep() uses this to pick a common jump target
+  /// across its contexts before committing any of them.
   std::uint64_t fast_forward_candidate();
 
   /// Current simulation time in cycles since construction/reset.
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Consecutive cycles without FIFO activity ending at cycle() (the idle
-  /// watchdog's counter; fast-forwarded cycles count as idle).
+  /// Consecutive cycles without FIFO activity ending at cycle()
+  /// (fast-forwarded cycles count as idle); 0 after a step that moved data.
   std::uint64_t idle_cycles() const { return idle_cycles_; }
 
   /// Clears all FIFOs, resets all processes, and rewinds the clock.
@@ -208,7 +207,8 @@ class SimContext {
   /// lifetime statistics so the numbers survive harness resets.
   std::string fifo_report() const;
 
-  /// Cycles with zero FIFO activity tolerated before declaring deadlock.
+  /// Cycles with zero FIFO activity run_until() tolerates before declaring
+  /// deadlock.
   void set_idle_limit(std::uint64_t cycles) { idle_limit_ = cycles; }
 
   static constexpr std::uint64_t kDefaultMaxCycles = 2'000'000'000ULL;
@@ -220,7 +220,6 @@ class SimContext {
   void step_checked();
   void step_observed();
   void finish_cycle(bool any_activity);
-  [[noreturn]] void throw_deadlock() const;
   std::uint64_t total_fifo_side_effects() const;
   void obs_register(FifoBase& f);
   void obs_register(Process& p);
@@ -242,5 +241,24 @@ class SimContext {
   std::uint64_t observed_cycles_ = 0;
   CycleHook* cycle_hook_ = nullptr;     ///< non-owning; null = no injection
 };
+
+/// The one run loop. Steps `contexts` (one clock domain per board, in any
+/// order: with link latency >= 1 nothing sent in a cycle is visible before
+/// the next) in lockstep, one global cycle at a time, until `finished()`
+/// holds, and returns the cycles elapsed. The clocks must agree on entry.
+///  * Budget: TimeoutError once `max_cycles` cycles have elapsed.
+///  * Watchdog: DeadlockError after more than `idle_limit` consecutive
+///    cycles without FIFO activity on any context.
+///  * Fast-forward: after a cycle idle on every context, all of them jump to
+///    the earliest wake any declares, clamped so the budget and the
+///    watchdog fire at exactly the cycles stepping would reach.
+///  * `observe` (may be empty) sees every global cycle before it steps, and
+///    its presence turns fast-forward off so no cycle escapes it.
+/// Errors carry `report()`. `finished` must be a pure function of
+/// simulation state: it is not evaluated inside fast-forwarded windows.
+std::uint64_t run_lockstep(const std::vector<SimContext*>& contexts,
+                           const std::function<bool()>& finished, std::uint64_t max_cycles,
+                           std::uint64_t idle_limit, const std::function<std::string()>& report,
+                           const std::function<void(std::uint64_t)>& observe = {});
 
 }  // namespace dfc::df

@@ -108,8 +108,8 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
     in.shared_dma_bus = options.build.dma_shared_bus;
     in.observed_interval = result.steady_interval_cycles();
 
-    in.stages = build_stage_samples(est, acc, {acc.ctx.get()});
-    in.fifos = build_fifo_samples({acc.ctx.get()});
+    in.stages = build_stage_samples(est, acc, {acc.ctx});
+    in.fifos = build_fifo_samples({acc.ctx});
     return obs::analyze_bottleneck(std::move(in));
   }
 
@@ -138,7 +138,7 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
   in.observed_interval = result.steady_interval_cycles();
 
   std::vector<const dfc::df::SimContext*> contexts;
-  for (const auto& dev : acc.devices) contexts.push_back(dev.ctx.get());
+  for (const auto& ctx : acc.contexts) contexts.push_back(ctx.get());
   in.stages = build_stage_samples(est, acc, contexts);
   in.fifos = build_fifo_samples(contexts);
 

@@ -346,9 +346,9 @@ void expect_multi_matches_single(const dfc::core::NetworkSpec& spec, std::size_t
   opts.link = link;
   MultiFpgaHarness multi(build_multi_fpga(spec, plan.layer_device, opts));
   ASSERT_EQ(multi.device_count(), devices);
-  for (const DeviceSim& dev : multi.accelerator().devices) {  // each board holds its run
-    for (std::size_t li = 0; li < spec.layers.size(); ++li) {
-      EXPECT_EQ(li >= dev.first_layer && li < dev.last_layer, plan.layer_device[li] == dev.device);
+  for (const dfc::core::GraphNode& node : multi.accelerator().graph.nodes) {
+    if (dfc::core::is_compute_core(node.kind)) {  // each board holds its run
+      EXPECT_EQ(node.device, plan.layer_device[node.layer]) << node.name;
     }
   }
 

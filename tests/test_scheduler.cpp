@@ -218,7 +218,7 @@ std::uint64_t single_board_traffic(const NetworkSpec& spec) {
   AcceleratorHarness harness(build_accelerator(spec));
   const BatchResult r = harness.run_batch(dfc::report::random_images(spec, 4));
   EXPECT_TRUE(r.ok());
-  return traffic_hash({harness.accelerator().ctx.get()}, r);
+  return traffic_hash({harness.accelerator().ctx}, r);
 }
 
 TEST(EngineTrafficPinTest, Usps) {

@@ -269,7 +269,8 @@ TEST(VerifyCodesTest, DF403IllegalPartition) {
 dfc::core::Accelerator wrap(std::unique_ptr<SimContext> ctx, dfc::core::DmaSource* source,
                             dfc::core::DmaSink* sink) {
   dfc::core::Accelerator acc;
-  acc.ctx = std::move(ctx);
+  acc.ctx = ctx.get();
+  acc.contexts.push_back(std::move(ctx));
   acc.spec = tiny_spec();  // placeholder; only the engine loop runs
   acc.source = source;
   acc.sink = sink;
@@ -295,7 +296,6 @@ TEST(VerifyDeadlockTest, DanglingProducerDeadlocksInSim) {
   EXPECT_TRUE(verify_graph(g).has(Code::DF001));
 
   auto ctx = std::make_unique<SimContext>();
-  ctx->set_idle_limit(2'000);
   auto& f_fed = ctx->add_fifo<Flit>("fed", 8);
   auto& f_orphan = ctx->add_fifo<Flit>("orphan", 8);
   auto& f_merged = ctx->add_fifo<Flit>("merged", 8);
@@ -305,6 +305,7 @@ TEST(VerifyDeadlockTest, DanglingProducerDeadlocksInSim) {
                                         std::vector<Fifo<Flit>*>{&f_fed, &f_orphan}, f_merged);
   auto* sinkp = &ctx->add_process<dfc::core::DmaSink>("dma.sink", f_merged, img.volume());
   dfc::core::AcceleratorHarness h(wrap(std::move(ctx), source, sinkp));
+  h.set_idle_limit(2'000);
   const auto r = h.run_batch(std::vector<Tensor>{Tensor(img)}, 100'000);
   EXPECT_EQ(r.status, RunStatus::kDeadlock);
 }
@@ -323,12 +324,12 @@ TEST(VerifyDeadlockTest, SinkDemandMismatchDeadlocksInSim) {
   EXPECT_TRUE(verify_graph(g).has(Code::DF301));
 
   auto ctx = std::make_unique<SimContext>();
-  ctx->set_idle_limit(2'000);
   auto& ch_f = ctx->add_fifo<Flit>("dma.in", 8);
   const Shape3 img{1, 2, 2};  // 4 words
   auto* source = &ctx->add_process<dfc::core::DmaSource>("dma.source", ch_f, img);
   auto* sinkp = &ctx->add_process<dfc::core::DmaSink>("dma.sink", ch_f, 5);
   dfc::core::AcceleratorHarness h(wrap(std::move(ctx), source, sinkp));
+  h.set_idle_limit(2'000);
   const auto r = h.run_batch(std::vector<Tensor>{Tensor(img)}, 100'000);
   EXPECT_EQ(r.status, RunStatus::kDeadlock);
 }
@@ -358,7 +359,6 @@ TEST(VerifyDeadlockTest, FeedbackCycleDeadlocksInSim) {
   EXPECT_TRUE(verify_graph(g).has(Code::DF302));
 
   auto ctx = std::make_unique<SimContext>();
-  ctx->set_idle_limit(2'000);
   auto& f_in = ctx->add_fifo<Flit>("dma.in", 8);
   auto& f_merged = ctx->add_fifo<Flit>("merged", 8);
   auto& f_out = ctx->add_fifo<Flit>("out", 8);
@@ -371,6 +371,7 @@ TEST(VerifyDeadlockTest, FeedbackCycleDeadlocksInSim) {
                                         std::vector<Fifo<Flit>*>{&f_out, &f_fb});
   auto* sinkp = &ctx->add_process<dfc::core::DmaSink>("dma.sink", f_out, img.volume());
   dfc::core::AcceleratorHarness h(wrap(std::move(ctx), source, sinkp));
+  h.set_idle_limit(2'000);
   const auto r = h.run_batch(std::vector<Tensor>{Tensor(img)}, 100'000);
   EXPECT_EQ(r.status, RunStatus::kDeadlock);
 }
@@ -562,13 +563,13 @@ template <typename Visit>
 void build(const CoveredBuild& b, Visit visit) {
   if (b.layer_device.empty()) {
     const auto acc = dfc::core::build_accelerator(b.spec, b.options);
-    visit(std::vector<const SimContext*>{acc.ctx.get()}, acc,
+    visit(std::vector<const SimContext*>{acc.ctx}, acc,
           dfc::core::elaborate(b.spec, b.options));
     return;
   }
   const auto acc = dfc::mfpga::build_multi_fpga(b.spec, b.layer_device, b.options);
   std::vector<const SimContext*> contexts;
-  for (const auto& dev : acc.devices) contexts.push_back(dev.ctx.get());
+  for (const auto& ctx : acc.contexts) contexts.push_back(ctx.get());
   visit(contexts, acc, dfc::core::elaborate(b.spec, b.options, b.layer_device));
 }
 

@@ -41,17 +41,18 @@ int main() {
     std::size_t trials;
     bool detection;
     core::BuildOptions build;
+    std::vector<std::size_t> cut;
   };
   std::vector<Run> runs;
-  runs.push_back({"usps+detect", core::make_usps_spec(), 48, true, {}});
-  runs.push_back({"usps-detect", core::make_usps_spec(), 48, false, {}});
-  runs.push_back({"cifar+detect", core::make_cifar_spec(), 24, true, {}});
-  // Partitioned USPS: the inter-FPGA link FIFOs (L<i>.xfpga<p>) join the
-  // injectable sites, so the campaign also attacks words in board crossings.
+  runs.push_back({"usps+detect", core::make_usps_spec(), 48, true, {}, {}});
+  runs.push_back({"usps-detect", core::make_usps_spec(), 48, false, {}, {}});
+  runs.push_back({"cifar+detect", core::make_cifar_spec(), 24, true, {}, {}});
+  // Partitioned USPS on two boards: every board's FIFOs, the link ingress
+  // FIFOs (fpga1.L<i>.xfpga<p>) included, join the injectable sites, so the
+  // campaign also attacks words in board crossings.
   core::BuildOptions twofpga;
-  twofpga.layer_device = {0, 0, 1, 1};
   twofpga.link = core::LinkModel{40, 4};
-  runs.push_back({"usps-2fpga+detect", core::make_usps_spec(), 32, true, twofpga});
+  runs.push_back({"usps-2fpga+detect", core::make_usps_spec(), 32, true, twofpga, {0, 0, 1, 1}});
 
   AsciiTable t({"campaign", "trials", "masked", "det+rec", "sdc", "hang", "sdc rate",
                 "mean rec (cy)", "max rec (cy)"});
@@ -68,6 +69,7 @@ int main() {
     config.batch = 4;
     config.detection = run.detection;
     config.build = run.build;
+    config.cut = run.cut;
     fault::CampaignResult r = fault::run_campaign(run.spec, config);
 
     std::printf("=== %s: %zu trials over %zu sites (fault-free %llu cycles) ===\n%s%s\n\n",

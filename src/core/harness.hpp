@@ -131,6 +131,7 @@ class Harness {
   std::vector<float> run_image(const Tensor& image);
 
   const NetworkSpec& spec() const { return design_->spec; }
+  DesignInstance& design() { return *design_; }
 
   /// True when the next run would take the compiled-schedule fast path: the
   /// design was built with ExecutionMode::kCompiledSchedule and nothing on
@@ -189,9 +190,6 @@ class Harness {
   /// board (link ingress FIFOs included).
   void enable_integrity_guards(dfc::df::FaultListener* listener, float range_bound);
   void disable_integrity_guards();
-
- protected:
-  DesignInstance& design() { return *design_; }
 
  private:
   BatchResult run(const std::vector<Tensor>& images, std::uint64_t max_cycles,

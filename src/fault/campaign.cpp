@@ -34,6 +34,13 @@ std::vector<Tensor> campaign_images(const core::NetworkSpec& spec, std::size_t c
   return images;
 }
 
+/// A fresh harness over the design the campaign attacks.
+core::Harness campaign_harness(const core::NetworkSpec& spec, const CampaignConfig& config) {
+  auto design = std::make_unique<core::DesignInstance>();
+  core::build_design(*design, spec, config.build, config.cut);
+  return core::Harness(std::move(design));
+}
+
 FaultSpec draw_fault(Rng& rng, const std::vector<std::string>& sites,
                      std::uint64_t window_cycles) {
   FaultSpec spec;
@@ -85,17 +92,19 @@ CampaignResult run_campaign(const core::NetworkSpec& spec, const CampaignConfig&
   // injection window and the list of injectable sites.
   std::vector<std::vector<float>> golden;
   {
-    core::AcceleratorHarness harness(core::build_accelerator(spec, config.build));
+    core::Harness harness = campaign_harness(spec, config);
     const core::BatchResult r = harness.run_batch(images);
     result.fault_free_cycles = r.total_cycles();
     golden = r.outputs;
-    const df::SimContext& ctx = *harness.accelerator().ctx;
-    for (std::size_t i = 0; i < ctx.fifo_count(); ++i) {
-      result.sites.push_back(ctx.fifo(i).name());
+    for (std::size_t b = 0; b < harness.device_count(); ++b) {
+      const df::SimContext& ctx = harness.device_context(b);
+      for (std::size_t i = 0; i < ctx.fifo_count(); ++i) {
+        result.sites.push_back(ctx.fifo(i).name());
+      }
     }
   }
   result.hang_budget = hang_budget_cycles(spec, config.batch, config.budget_factor);
-  if (!config.build.layer_device.empty()) {
+  if (!config.cut.empty()) {
     // The analytic budget knows nothing about link traversal/serialization
     // fill time; anchor a partitioned design's budget to its measured
     // fault-free run so slow links cannot misclassify clean trials as hangs.
@@ -113,15 +122,22 @@ CampaignResult run_campaign(const core::NetworkSpec& spec, const CampaignConfig&
     Rng rng((config.seed << 20) ^ (t + 1));
     tr.fault = draw_fault(rng, result.sites, result.fault_free_cycles);
 
-    core::AcceleratorHarness harness(core::build_accelerator(spec, config.build));
-    core::Accelerator& acc = harness.accelerator();
+    core::Harness harness = campaign_harness(spec, config);
+    const core::DmaSink& sink = *harness.design().sink;
 
+    // The injector hooks the board owning the target FIFO; the guards watch
+    // every board, the stream guard the sink.
     FaultPlan plan;
     plan.fifo_faults.push_back(tr.fault);
-    plan.integrity_guards = config.detection;
+    plan.integrity_guards = false;
     FaultInjector injector(std::move(plan));
-    injector.attach(*acc.ctx);
-    if (config.detection) acc.sink->set_stream_guard(true, injector.plan().range_bound);
+    std::size_t owner = 0;
+    while (harness.device_context(owner).find_fifo(tr.fault.fifo) == nullptr) ++owner;
+    injector.attach(harness.device_context(owner));
+    if (config.detection) {
+      harness.enable_integrity_guards(&injector, injector.plan().range_bound);
+      harness.design().sink->set_stream_guard(true, injector.plan().range_bound);
+    }
 
     bool aborted = false;
     std::vector<std::vector<float>> outputs;
@@ -140,17 +156,17 @@ CampaignResult run_campaign(const core::NetworkSpec& spec, const CampaignConfig&
       // Stream-protocol assertions (integrity/framing guards tripping inside
       // the simulation) still abort by throwing.
       aborted = true;
-      tr.run_cycles = acc.ctx->cycle();
+      tr.run_cycles = harness.device_context(0).cycle();
     }
 
     tr.landed = injector.any_injection_landed();
-    tr.detected = injector.any_detection() || acc.sink->guard_framing_errors() > 0 ||
-                  acc.sink->guard_range_errors() > 0 || (config.detection && aborted);
+    tr.detected = injector.any_detection() || sink.guard_framing_errors() > 0 ||
+                  sink.guard_range_errors() > 0 || (config.detection && aborted);
     if (injector.any_detection()) {
       tr.detector = injector.detections().front().what;
-    } else if (acc.sink->guard_framing_errors() > 0) {
+    } else if (sink.guard_framing_errors() > 0) {
       tr.detector = "framing";
-    } else if (acc.sink->guard_range_errors() > 0) {
+    } else if (sink.guard_range_errors() > 0) {
       tr.detector = "range";
     } else if (config.detection && aborted) {
       tr.detector = "watchdog";

@@ -45,11 +45,14 @@ struct CampaignConfig {
   std::size_t threads = 0;     ///< worker pool size (0 = auto)
   double budget_factor = 3.0;  ///< hang budget = factor × analytic fill+drain
 
-  /// Design variant to attack. A non-empty layer_device builds the
-  /// partitioned design (LinkChannel boundaries), whose inter-FPGA FIFOs
-  /// (L<i>.xfpga<p>) then appear among the injectable sites — the campaign
-  /// covers link bit-flips/drops/jams with the same detectors.
+  /// Design variant to attack.
   core::BuildOptions build{};
+  /// Device per layer (empty = one board): a cut builds the partitioned
+  /// design of mfpga::build_multi_fpga, whose every board's FIFOs — the
+  /// link ingress FIFOs fpga<d>.L<i>.xfpga<p> included — are injectable
+  /// sites, so the campaign covers link bit-flips/drops/jams with the same
+  /// detectors.
+  std::vector<std::size_t> cut;
 };
 
 struct TrialResult {
@@ -71,7 +74,7 @@ struct CampaignResult {
   CampaignConfig config;
   std::uint64_t fault_free_cycles = 0;
   std::uint64_t hang_budget = 0;
-  std::vector<std::string> sites;  ///< injectable FIFO names
+  std::vector<std::string> sites;  ///< injectable FIFO names, board by board
   std::vector<TrialResult> trials;
 
   std::size_t masked = 0;

@@ -486,5 +486,20 @@ TEST(FaultCampaignPinTest, UspsSeed1) {
   EXPECT_EQ(fnv1a(csv), 0xcb1a0750e2cfce73ULL) << std::hex << "0x" << fnv1a(csv);
 }
 
+TEST(FaultCampaignPinTest, UspsTwoBoards) {
+  // The same campaign on the credit-link build of the {0,0,1,1} cut: sites
+  // span both boards, and the detectors still catch every landed fault.
+  CampaignConfig config;
+  config.trials = 16;
+  config.seed = 1;
+  config.cut = {0, 0, 1, 1};
+  config.build.link = core::LinkModel{40, 4};
+  const CampaignResult r = run_campaign(core::make_usps_preset().compile_spec(), config);
+  EXPECT_EQ(r.sdc, 0u) << r.classification_line();
+  EXPECT_EQ(r.hang, 0u) << r.classification_line();
+  const std::string csv = r.csv();
+  EXPECT_EQ(fnv1a(csv), 0xf0f3220891b486d8ULL) << std::hex << "0x" << fnv1a(csv);
+}
+
 }  // namespace
 }  // namespace dfc::fault

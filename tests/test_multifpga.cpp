@@ -647,15 +647,20 @@ TEST(MultiFpgaCampaignTest, PartitionedBuildExposesLinkSitesAndStaysDetected) {
   config.batch = 2;
   config.seed = 5;
   config.detection = true;
-  config.build.layer_device = {0, 0, 1, 1};
+  config.cut = {0, 0, 1, 1};
   config.build.link = LinkModel{40, 4};
 
   const fault::CampaignResult result = fault::run_campaign(spec, config);
-  bool has_link_site = false;
-  for (const auto& site : result.sites) {
-    has_link_site = has_link_site || site.find("xfpga") != std::string::npos;
+  // Sites are every board's FIFOs in board order, ingress FIFOs included.
+  MultiFpgaHarness twin(build_multi_fpga(spec, config.cut, config.build));
+  std::vector<std::string> sites;
+  for (std::size_t d = 0; d < twin.device_count(); ++d) {
+    for (std::size_t i = 0; i < twin.device_context(d).fifo_count(); ++i) {
+      sites.push_back(twin.device_context(d).fifo(i).name());
+    }
   }
-  EXPECT_TRUE(has_link_site);
+  EXPECT_EQ(result.sites, sites);
+  EXPECT_NE(std::find(sites.begin(), sites.end(), "fpga1.L2.xfpga0"), sites.end());
   EXPECT_EQ(result.sdc, 0u) << result.classification_line();
   EXPECT_EQ(result.masked + result.detected_recovered + result.sdc + result.hang,
             config.trials);

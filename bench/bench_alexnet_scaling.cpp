@@ -18,6 +18,7 @@
 #include "core/presets.hpp"
 #include "dse/throughput_model.hpp"
 #include "hwmodel/cost_model.hpp"
+#include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
 #include "report/experiments.hpp"
 
@@ -50,8 +51,9 @@ int main() {
         std::printf("%s", plan.describe(spec).c_str());
 
         // 3. Simulate and validate.
-        core::AcceleratorHarness harness(
-            core::build_accelerator(spec, mfpga::build_options_for(plan, link)));
+        core::BuildOptions opts;
+        opts.link = link;
+        mfpga::MultiFpgaHarness harness(mfpga::build_multi_fpga(spec, plan.layer_device, opts));
         const auto images = report::random_images(spec, 6);
         const auto r = harness.run_batch(images);
         std::printf("simulated interval: %llu cycles (%.0f images/s, %.1f GFLOPS)\n",

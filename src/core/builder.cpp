@@ -55,7 +55,7 @@ void build_design(DesignInstance& design, const NetworkSpec& spec, const BuildOp
   design.options = options;
   design.cut = cut;
   design.link_credits = link_credits;
-  design.graph = cut.empty() ? elaborate(spec, options) : elaborate(spec, options, cut, link_credits);
+  design.graph = elaborate(spec, options, cut, link_credits);
   const DesignGraph& graph = design.graph;
 
   for (const GraphNode& node : graph.nodes) {
@@ -167,9 +167,6 @@ void build_design(DesignInstance& design, const NetworkSpec& spec, const BuildOp
             node.name, std::move(cfg), flit(in), flit(out)));
         break;
       }
-      case NodeKind::kLink:
-        proc = &ctx.add_process<LinkChannel>(node.name, options.link, flit(in), flit(out));
-        break;
       case NodeKind::kLinkTx:
         proc = design.txs.emplace_back(&ctx.add_process<InterLinkTx>(
             node.name, flit(in), *wires[static_cast<std::size_t>(out)]));

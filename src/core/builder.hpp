@@ -11,7 +11,6 @@
 #include "core/dma.hpp"
 #include "core/elaborate.hpp"
 #include "core/interlink.hpp"
-#include "core/link.hpp"
 #include "core/network_spec.hpp"
 #include "dataflow/sim_context.hpp"
 #include "hlscore/conv_core.hpp"
@@ -43,11 +42,8 @@ struct BuildOptions {
   /// direction a private channel — 2x the paper's bandwidth — for ablations.
   bool dma_shared_bus = true;
 
-  /// Multi-FPGA mapping: device index per layer (empty = all on device 0).
-  /// Wherever consecutive layers sit on different devices, every stream port
-  /// crossing the boundary goes through a LinkChannel. The DMA endpoints live
-  /// with the first/last layer's device.
-  std::vector<std::size_t> layer_device;
+  /// Timing of every board crossing of a design cut over several boards
+  /// (mfpga::build_multi_fpga).
   LinkModel link{};
 
   /// Execution engine the harness selects for run_batch/run_sequential.

@@ -32,14 +32,13 @@ void DesignGraph::bind_consumer(int channel, int node) {
 }
 
 std::vector<Diagnostic> check_partition(const NetworkSpec& spec,
-                                        const std::vector<std::size_t>& layer_device,
-                                        bool require_monotone) {
+                                        const std::vector<std::size_t>& layer_device) {
   if (layer_device.size() != spec.layers.size()) {
     return {{Code::DF403, "partition",
              "layer_device has " + std::to_string(layer_device.size()) + " entries for " +
                  std::to_string(spec.layers.size()) + " layer(s)"}};
   }
-  for (std::size_t i = 1; require_monotone && i < layer_device.size(); ++i) {
+  for (std::size_t i = 1; i < layer_device.size(); ++i) {
     if (layer_device[i] < layer_device[i - 1]) {
       return {{Code::DF403, "L" + std::to_string(i),
                "device assignment goes backwards (" + std::to_string(layer_device[i - 1]) +
@@ -144,18 +143,9 @@ struct Walk {
     shape = layer_out_shape(layer);
   }
 
-  /// Single-context board crossing into layer `li`: a LinkChannel per port.
-  void cross_link(std::size_t li) {
-    const std::string lname = numbered("L", li);
-    for (std::size_t p = 0; p < streams.size(); ++p) {
-      streams[p] = add(numbered(lname + ".link", p), NodeKind::kLink, li, p, {streams[p]},
-                       {{numbered(lname + ".xfpga", p), options.stream_fifo_capacity}})[0];
-    }
-  }
-
-  /// Multi-context board crossing into layer `li`: per port, a Tx on this
-  /// board drains the bundle onto a wire whose Rx, on the next board, fills
-  /// an ingress FIFO.
+  /// Board crossing into layer `li`: per port, a Tx on this board drains
+  /// the bundle onto a wire whose Rx, on the next board, fills an ingress
+  /// FIFO.
   void cross_boards(std::size_t li, std::size_t credit_window) {
     const std::string lname = numbered("L", li);
     const std::string next = numbered("fpga", device + 1) + ".";
@@ -172,29 +162,24 @@ struct Walk {
   }
 };
 
-/// Both elaborations: `cut` is the device per layer (empty = one device);
-/// `multi` crosses boards with Tx/wire/Rx between contexts instead of
-/// single-context LinkChannels.
-DesignGraph elaborate_cut(const NetworkSpec& spec, const BuildOptions& options,
-                          const std::vector<std::size_t>& cut, bool multi, int link_credits) {
+}  // namespace
+
+DesignGraph elaborate(const NetworkSpec& spec, const BuildOptions& options,
+                      const std::vector<std::size_t>& cut, int link_credits) {
   spec.validate();
-  if (multi || !cut.empty()) {
-    std::vector<Diagnostic> errors = check_partition(spec, cut, /*require_monotone=*/multi);
+  if (!cut.empty()) {
+    std::vector<Diagnostic> errors = check_partition(spec, cut);
     if (!errors.empty()) throw dfc::verify::VerifyError(std::move(errors));
   }
 
   DesignGraph g;
-  Walk w{g, options, multi ? "fpga0." : "", 0, {}, spec.input_shape};
+  Walk w{g, options, cut.empty() ? "" : "fpga0.", 0, {}, spec.input_shape};
   w.streams = w.add(w.prefix + "dma.source", NodeKind::kDmaSource, 0, 0, {},
                     {{w.prefix + "dma.in", options.stream_fifo_capacity}});
+  const InterLinkModel link{options.link, link_credits};
   for (std::size_t li = 0; li < spec.layers.size(); ++li) {
     if (li > 0 && !cut.empty() && cut[li] != cut[li - 1]) {
-      if (multi) {
-        const InterLinkModel link{options.link, link_credits};
-        w.cross_boards(li, static_cast<std::size_t>(std::max(1, link.effective_credits())));
-      } else {
-        w.cross_link(li);
-      }
+      w.cross_boards(li, static_cast<std::size_t>(std::max(1, link.effective_credits())));
     }
     w.append_layer(li, spec.layers[li]);
   }
@@ -205,17 +190,6 @@ DesignGraph elaborate_cut(const NetworkSpec& spec, const BuildOptions& options,
   w.add(w.prefix + "dma.sink", NodeKind::kDmaSink, sink_side, 0, w.streams, {});
   g.nodes.back().demand_per_image = g.delivered_per_image = w.shape.volume();
   return g;
-}
-
-}  // namespace
-
-DesignGraph elaborate(const NetworkSpec& spec, const BuildOptions& options) {
-  return elaborate_cut(spec, options, options.layer_device, /*multi=*/false, 0);
-}
-
-DesignGraph elaborate(const NetworkSpec& spec, const BuildOptions& options,
-                      const std::vector<std::size_t>& layer_device, int link_credits) {
-  return elaborate_cut(spec, options, layer_device, /*multi=*/true, link_credits);
 }
 
 }  // namespace dfc::core

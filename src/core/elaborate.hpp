@@ -36,9 +36,8 @@ enum class NodeKind {
   kConv,
   kPool,
   kFcn,
-  kLink,    ///< single-context LinkChannel board crossing
-  kLinkTx,  ///< multi-context crossing: transmitter on the upstream board
-  kLinkRx,  ///< multi-context crossing: receiver on the downstream board
+  kLinkTx,  ///< board crossing: transmitter on the upstream board
+  kLinkRx,  ///< board crossing: receiver on the downstream board
 };
 
 /// Conv, pool and fcn nodes: the cores Eq. 4 prices per stage.
@@ -83,24 +82,19 @@ struct DesignGraph {
   void bind_consumer(int channel, int node);
 };
 
-/// Partition legality (DF403): `layer_device` covers every layer and, when
-/// `require_monotone` (the multi-context contract), never goes backwards.
-/// Empty when legal.
+/// Partition legality (DF403): `layer_device` covers every layer and never
+/// goes backwards. Empty when legal.
 std::vector<dfc::verify::Diagnostic> check_partition(
-    const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-    bool require_monotone);
+    const NetworkSpec& spec, const std::vector<std::size_t>& layer_device);
 
-/// The single-context design build_accelerator creates: a LinkChannel on
-/// every stream port where options.layer_device (if set) changes device.
-/// Throws verify::VerifyError on an invalid spec or partition.
-DesignGraph elaborate(const NetworkSpec& spec, const BuildOptions& options);
-
-/// The multi-context design mfpga::build_multi_fpga creates: one context per
-/// maximal same-device run of `layer_device`, names prefixed "fpga<d>.", and
-/// a Tx/wire/Rx triple per stream port crossing each boundary, the wire's
-/// capacity being the credit window of InterLinkModel{options.link,
-/// link_credits}. Throws verify::VerifyError on an invalid spec or partition.
+/// The design core::build_design creates. An empty `cut` is
+/// build_accelerator's single board; otherwise the cut is the device per
+/// layer of mfpga::build_multi_fpga: one context per maximal same-device
+/// run, names prefixed "fpga<d>.", and a Tx/wire/Rx triple per stream port
+/// crossing each boundary, the wire's capacity being the credit window of
+/// InterLinkModel{options.link, link_credits}. Throws verify::VerifyError on
+/// an invalid spec or partition.
 DesignGraph elaborate(const NetworkSpec& spec, const BuildOptions& options,
-                      const std::vector<std::size_t>& layer_device, int link_credits = 0);
+                      const std::vector<std::size_t>& cut = {}, int link_credits = 0);
 
 }  // namespace dfc::core

@@ -1,13 +1,12 @@
 // Credit-based inter-FPGA serial link for multi-context execution.
 //
-// core/link.hpp's LinkChannel forwards flits between two FIFOs of *one*
-// SimContext — enough to price a partition, but not to execute one: a real
-// multi-board system runs one clock domain per device. This header provides
-// the cross-context version used by src/multifpga/exec: the boundary is
-// split into a transmitter process (upstream context), a passive wire object
-// (owned by the executor, belonging to neither context) and a receiver
-// process (downstream context), with credit-based flow control layered on
-// the same AXIS valid/ready handshake the on-chip FIFOs use.
+// The one model of a board crossing (paper Sec. IV-C future work: "map such
+// enlarged network design onto a multi-FPGA system"). A real multi-board
+// system runs one clock domain per device, so the boundary is split into a
+// transmitter process (upstream context), a passive wire object (owned by
+// the design, belonging to neither context) and a receiver process
+// (downstream context), with credit-based flow control layered on the same
+// AXIS valid/ready handshake the on-chip FIFOs use.
 //
 // Protocol (DESIGN.md §11):
 //   * the Tx holds `credits` send credits; transmitting one flit consumes
@@ -45,7 +44,6 @@
 #include "axis/flit.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "core/link.hpp"
 #include "dataflow/fifo.hpp"
 #include "dataflow/process.hpp"
 
@@ -53,6 +51,18 @@ namespace dfc::core {
 
 class InterLinkTx;
 class InterLinkRx;
+
+/// Board-to-board serial transceiver timing (Aurora-style): a fixed
+/// traversal latency and one word accepted every `cycles_per_word` fabric
+/// cycles — serializer bandwidth below the on-chip one word per cycle.
+struct LinkModel {
+  int latency_cycles = 40;  ///< serializer + wire + deserializer traversal
+  int cycles_per_word = 4;  ///< accept rate (4 => 100 MB/s at 100 MHz/32-bit)
+
+  void validate() const {
+    DFC_REQUIRE(latency_cycles >= 1 && cycles_per_word >= 1, "invalid link model");
+  }
+};
 
 /// LinkModel timing plus the credit window of the flow-control protocol.
 struct InterLinkModel {

@@ -95,9 +95,7 @@ std::string schedule_cache_key(const NetworkSpec& spec, const BuildOptions& opti
       << ";fifo=" << options.stream_fifo_capacity << ',' << options.window_fifo_capacity
       << ";dma=" << options.dma_cycles_per_word << ',' << (options.dma_shared_bus ? 1 : 0)
       << ";link=" << options.link.latency_cycles << ',' << options.link.cycles_per_word << ','
-      << link_credits << ";dev=";
-  for (const std::size_t d : options.layer_device) key << d << '.';
-  key << ";cut=";
+      << link_credits << ";cut=";
   for (const std::size_t d : cut) key << d << '.';
   for (const LayerSpec& layer : spec.layers) {
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {

@@ -209,13 +209,6 @@ MultiFpgaPlan partition_network_exact(const NetworkSpec& spec, std::size_t num_d
   return best;
 }
 
-dfc::core::BuildOptions build_options_for(const MultiFpgaPlan& plan, const LinkModel& link) {
-  dfc::core::BuildOptions opts;
-  opts.layer_device = plan.layer_device;
-  opts.link = link;
-  return opts;
-}
-
 std::string MultiFpgaPlan::describe(const NetworkSpec& spec) const {
   std::ostringstream os;
   os << "multi-FPGA plan for '" << spec.name << "' (" << num_devices_used()

@@ -3,7 +3,8 @@
 // multi-FPGA system").
 //
 // A partition assigns each layer to one device; consecutive layers on
-// different devices communicate through LinkChannels (core/link.hpp). The
+// different devices communicate through credit-based interlinks
+// (core/interlink.hpp, built by mfpga::build_multi_fpga). The
 // partitioner enumerates contiguous splits (layers never migrate backwards —
 // the design is a pipeline), prices each segment with the hwmodel estimator,
 // includes one base design (MicroBlaze/DMA shell) per device, and picks the
@@ -15,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/builder.hpp"
+#include "core/interlink.hpp"
 #include "core/network_spec.hpp"
 #include "dse/throughput_model.hpp"
 #include "hwmodel/cost_model.hpp"
@@ -71,9 +72,5 @@ MultiFpgaPlan partition_network_exact(const dfc::core::NetworkSpec& spec,
                                       const dfc::core::LinkModel& link = {},
                                       int credits = 0,
                                       const dfc::hw::CostModel& cost = {});
-
-/// Convenience: BuildOptions carrying the plan's device mapping.
-dfc::core::BuildOptions build_options_for(const MultiFpgaPlan& plan,
-                                          const dfc::core::LinkModel& link = {});
 
 }  // namespace dfc::mfpga

@@ -279,22 +279,11 @@ VerifyReport verify_design(const NetworkSpec& spec, const BuildOptions& options,
   r.design = spec.name;
 
   const bool shapes_ok = append(r, dfc::core::check_spec(spec));
-
-  // The single-context builder only needs the cut to cover every layer.
-  BuildOptions checked = options;
-  if (!options.layer_device.empty() &&
-      !append(r, dfc::core::check_partition(spec, options.layer_device,
-                                                    /*require_monotone=*/false))) {
-    checked.layer_device.clear();
-  }
-  r.devices = devices_used(checked.layer_device);
-
   if (!shapes_ok) return r;  // rate/graph/budget math is meaningless on broken shapes
 
-  r.predicted_interval_cycles =
-      check_rates(spec, checked, checked.layer_device, /*credits=*/0, r.diagnostics);
-  merge_graph_checks(r, dfc::core::elaborate(spec, checked));
-  check_budget(spec, checked.layer_device, r.devices, vopts, r.diagnostics);
+  r.predicted_interval_cycles = check_rates(spec, options, {}, /*credits=*/0, r.diagnostics);
+  merge_graph_checks(r, dfc::core::elaborate(spec, options));
+  check_budget(spec, {}, r.devices, vopts, r.diagnostics);
   return r;
 }
 
@@ -306,8 +295,7 @@ VerifyReport verify_design_multi(const NetworkSpec& spec,
   r.design = spec.name;
 
   const bool shapes_ok = append(r, dfc::core::check_spec(spec));
-  const bool partition_ok = append(
-      r, dfc::core::check_partition(spec, layer_device, /*require_monotone=*/true));
+  const bool partition_ok = append(r, dfc::core::check_partition(spec, layer_device));
   r.devices = partition_ok ? devices_used(layer_device) : 1;
   if (link_credits < 0) {
     r.diagnostics.push_back({Code::DF203, "interlink", "credit count must be non-negative"});

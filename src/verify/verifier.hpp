@@ -71,8 +71,7 @@ struct VerifyReport {
   std::string to_json() const;
 };
 
-/// Verifies a single-context design (build_accelerator topology, including
-/// LinkChannel crossings when options.layer_device is set).
+/// Verifies a single-board design (build_accelerator topology).
 VerifyReport verify_design(const dfc::core::NetworkSpec& spec,
                            const dfc::core::BuildOptions& options = {},
                            const VerifyOptions& vopts = {});

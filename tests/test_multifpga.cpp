@@ -1,8 +1,6 @@
-// Tests for the multi-FPGA substrate: the inter-board link channel, the
-// credit-based cross-context interlink, the partitioner, the multi-device
-// timing model, and functional equivalence of partitioned accelerators —
-// both the single-context LinkChannel build and the true multi-context
-// executor.
+// Tests for the multi-FPGA substrate: the credit-based cross-context
+// interlink, the partitioner, the multi-device timing model, and functional
+// and timing equivalence of partitioned accelerators on both engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +27,6 @@ using dfc::core::InterLinkModel;
 using dfc::core::InterLinkRx;
 using dfc::core::InterLinkTx;
 using dfc::core::InterLinkWire;
-using dfc::core::LinkChannel;
 using dfc::core::LinkModel;
 using dfc::df::Fifo;
 using dfc::df::SimContext;
@@ -40,60 +37,6 @@ std::vector<Flit> flit_ramp(int n) {
   std::vector<Flit> v;
   for (int i = 0; i < n; ++i) v.push_back(Flit{static_cast<float>(i), false, i});
   return v;
-}
-
-TEST(LinkChannelTest, PreservesOrderAndData) {
-  SimContext ctx;
-  auto& in = ctx.add_fifo<Flit>("in", 4);
-  auto& out = ctx.add_fifo<Flit>("out", 4);
-  LinkModel link{10, 2};
-  ctx.add_process<LinkChannel>("link", link, in, out);
-  ctx.add_process<VectorSource<Flit>>("src", in, flit_ramp(50));
-  auto& sink = ctx.add_process<VectorSink<Flit>>("sink", out);
-  ctx.run_until([&] { return sink.count() == 50; }, 100'000);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(sink.tokens()[static_cast<std::size_t>(i)].data, static_cast<float>(i));
-  }
-}
-
-TEST(LinkChannelTest, RateLimitedToCyclesPerWord) {
-  SimContext ctx;
-  auto& in = ctx.add_fifo<Flit>("in", 4);
-  auto& out = ctx.add_fifo<Flit>("out", 4);
-  LinkModel link{8, 4};
-  ctx.add_process<LinkChannel>("link", link, in, out);
-  ctx.add_process<VectorSource<Flit>>("src", in, flit_ramp(30));
-  auto& sink = ctx.add_process<VectorSink<Flit>>("sink", out);
-  ctx.run_until([&] { return sink.count() == 30; }, 100'000);
-  const auto& arr = sink.arrival_cycles();
-  for (std::size_t i = 5; i < arr.size(); ++i) {
-    EXPECT_GE(arr[i] - arr[i - 1], 4u) << "word " << i;
-  }
-}
-
-TEST(LinkChannelTest, AddsTraversalLatency) {
-  SimContext ctx;
-  auto& in = ctx.add_fifo<Flit>("in", 4);
-  auto& direct = ctx.add_fifo<Flit>("direct", 4);
-  auto& out = ctx.add_fifo<Flit>("out", 4);
-  LinkModel link{25, 1};
-  ctx.add_process<LinkChannel>("link", link, in, out);
-  ctx.add_process<VectorSource<Flit>>("src1", in, flit_ramp(5));
-  ctx.add_process<VectorSource<Flit>>("src2", direct, flit_ramp(5));
-  auto& linked = ctx.add_process<VectorSink<Flit>>("s1", out);
-  auto& plain = ctx.add_process<VectorSink<Flit>>("s2", direct);
-  ctx.run_until([&] { return linked.count() == 5 && plain.count() == 5; }, 100'000);
-  // First word through the link arrives ~latency cycles after the direct one.
-  const auto delta = linked.arrival_cycles()[0] - plain.arrival_cycles()[0];
-  EXPECT_GE(delta, 25u);
-  EXPECT_LE(delta, 28u);
-}
-
-TEST(LinkChannelTest, RejectsInvalidModel) {
-  SimContext ctx;
-  auto& in = ctx.add_fifo<Flit>("in", 4);
-  auto& out = ctx.add_fifo<Flit>("out", 4);
-  EXPECT_THROW(ctx.add_process<LinkChannel>("link", LinkModel{0, 1}, in, out), ConfigError);
 }
 
 /// Two-context testbench around one InterLink triple, stepped in lockstep
@@ -299,9 +242,8 @@ TEST(PartitionedAcceleratorTest, MatchesSingleDeviceResults) {
   dfc::core::AcceleratorHarness single(dfc::core::build_accelerator(spec));
 
   dfc::core::BuildOptions opts;
-  opts.layer_device = {0, 0, 1, 1};
   opts.link = LinkModel{40, 4};
-  dfc::core::AcceleratorHarness dual(dfc::core::build_accelerator(spec, opts));
+  MultiFpgaHarness dual(build_multi_fpga(spec, {0, 0, 1, 1}, opts));
 
   const auto images = dfc::report::random_images(spec, 6);
   const auto rs = single.run_batch(images);
@@ -322,8 +264,9 @@ TEST(PartitionedAcceleratorTest, SimulatedIntervalTracksPlanPrediction) {
   const LinkModel link{40, 4};
   const MultiFpgaPlan plan = partition_network(spec, {kintex, kintex}, link);
 
-  dfc::core::AcceleratorHarness harness(
-      dfc::core::build_accelerator(spec, build_options_for(plan, link)));
+  dfc::core::BuildOptions opts;
+  opts.link = link;
+  MultiFpgaHarness harness(build_multi_fpga(spec, plan.layer_device, opts));
   const auto images = dfc::report::random_images(spec, 10);
   const auto r = harness.run_batch(images);
   const double predicted = static_cast<double>(plan.timing.interval_cycles);
@@ -445,8 +388,7 @@ TEST(MultiFpgaExecTest, JammedLinkIngressReportsDeadlock) {
 }
 
 TEST(MultiFpgaExecTest, MeasuredIntervalMatchesEstimateFastAndSlowLink) {
-  // Triangle: analytic estimate vs multi-context execution vs the
-  // single-context LinkChannel build, on the same mapping.
+  // Analytic estimate vs multi-context execution on the same mapping.
   const auto spec = dfc::core::make_usps_spec(40);
   const std::vector<std::size_t> map{0, 0, 1, 1};
 
@@ -458,23 +400,11 @@ TEST(MultiFpgaExecTest, MeasuredIntervalMatchesEstimateFastAndSlowLink) {
     dfc::core::BuildOptions opts;
     opts.link = link;
     MultiFpgaHarness multi(build_multi_fpga(spec, map, opts));
-    dfc::core::AcceleratorHarness chan(dfc::core::build_accelerator(spec, [&] {
-      dfc::core::BuildOptions o = opts;
-      o.layer_device = map;
-      return o;
-    }()));
 
-    const auto images = dfc::report::random_images(spec, 10);
-    const auto rm = multi.run_batch(images);
-    const auto rc = chan.run_batch(images);
+    const auto rm = multi.run_batch(dfc::report::random_images(spec, 10));
     ASSERT_TRUE(rm.ok()) << rm.error;
-    ASSERT_TRUE(rc.ok());
-
     const auto measured_multi = static_cast<double>(rm.steady_interval_cycles());
-    const auto measured_chan = static_cast<double>(rc.steady_interval_cycles());
     EXPECT_NEAR(measured_multi, predicted, 0.1 * predicted) << "cpw=" << cpw;
-    EXPECT_NEAR(measured_chan, predicted, 0.1 * predicted) << "cpw=" << cpw;
-    EXPECT_NEAR(measured_multi, measured_chan, 0.1 * measured_chan) << "cpw=" << cpw;
   }
 }
 

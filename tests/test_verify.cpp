@@ -481,10 +481,8 @@ TEST(VerifyPromotionTest, BuilderCollectsEveryError) {
 }
 
 TEST(VerifyPromotionTest, BuilderPartitionCoverageThrowsStructured) {
-  BuildOptions opts;
-  opts.layer_device = {0};  // tiny_pipeline has 3 layers
   try {
-    dfc::core::build_accelerator(tiny_pipeline(), opts);
+    dfc::mfpga::build_multi_fpga(tiny_pipeline(), {0}, {});  // tiny_pipeline has 3 layers
     FAIL() << "expected VerifyError";
   } catch (const VerifyError& e) {
     EXPECT_EQ(e.diagnostics()[0].code, Code::DF403);
@@ -537,8 +535,8 @@ struct CoveredBuild {
   std::vector<std::size_t> layer_device;
 };
 
-/// The presets; usps with both convs on filter chains; usps single-context
-/// over LinkChannels; and each preset's 2..4-board exact cut.
+/// The presets; usps with both convs on filter chains; and each preset's
+/// 2..4-board exact cut.
 std::vector<CoveredBuild> covered_builds() {
   const auto specs = preset_specs();
   std::vector<CoveredBuild> builds;
@@ -547,8 +545,6 @@ std::vector<CoveredBuild> covered_builds() {
   for (auto& layer : builds.back().spec.layers) {
     if (auto* conv = std::get_if<ConvLayerSpec>(&layer)) conv->use_filter_chain = true;
   }
-  builds.push_back({"usps-linkchannel", specs[0], {}, {}});
-  builds.back().options.layer_device = {0, 0, 1, 1};
   for (const NetworkSpec& spec : specs) {
     for (std::size_t boards = 2; boards <= 4; ++boards) {
       builds.push_back({spec.name + "-" + std::to_string(boards) + "board", spec, {},
@@ -605,7 +601,7 @@ TEST(VerifyPinTest, ReportJsonMatchesPinnedHashes) {
 TEST(VerifyPinTest, BuildRegistrationOrderMatchesPinnedHashes) {
   const std::uint64_t pins[] = {
       0x7bab0a4a900e060fULL, 0x77e93b27fc47342fULL, 0x38dd01b3a4967c6fULL,  // presets
-      0x18add7433dfa35e2ULL, 0x0ea23b7ebfd1d157ULL,  // usps filter chains, LinkChannel
+      0x18add7433dfa35e2ULL,                         // usps filter chains
       0x62ae096c911fd234ULL, 0x3dcb56b38b884634ULL, 0x449c1e734fe07bd4ULL,  // usps 2-4
       0x44cacab0a22a6312ULL, 0x97e964056a188cfcULL, 0x1a583506799dde05ULL,  // cifar 2-4
       0x0699ab1e039cabd2ULL, 0x7e8dc5e3afac60a0ULL, 0xb6ec608856117fd3ULL,  // alexnet 2-4

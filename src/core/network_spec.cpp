@@ -1,6 +1,7 @@
 #include "core/network_spec.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -64,6 +65,15 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
   if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
     out.push_back({Code::DF101, "network", "input shape " + shape.str() + " is not positive"});
     return out;
+  }
+  // Operator pipeline depths: every core is built with them.
+  for (const auto& [field, cycles] : {std::pair{"fmul", spec.latency.fmul},
+                                      std::pair{"fadd", spec.latency.fadd}}) {
+    if (cycles < 1) {
+      out.push_back({Code::DF106, "network", std::string("latency.") + field +
+                                                 " must be >= 1 cycle, got " +
+                                                 std::to_string(cycles)});
+    }
   }
 
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {

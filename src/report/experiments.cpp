@@ -43,6 +43,10 @@ PerformanceMetrics measure_performance(const NetworkSpec& spec, std::size_t batc
   AcceleratorHarness harness(dfc::core::build_accelerator(spec, options));
   const auto images = random_images(spec, batch, seed);
   const BatchResult r = harness.run_batch(images);
+  if (!r.ok()) {
+    throw SimError("measure_performance: " + spec.name + " batch " + std::to_string(batch) +
+                   " did not finish (" + dfc::core::run_status_name(r.status) + "): " + r.error);
+  }
 
   PerformanceMetrics m;
   m.name = spec.name;

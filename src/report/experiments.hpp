@@ -44,7 +44,8 @@ struct PerformanceMetrics {
 /// Runs a pipelined batch and derives all Table II metrics. `options`
 /// selects the engine: the default cycle-accurate scheduler, or
 /// ExecutionMode::kCompiledSchedule for the fast path (identical numbers,
-/// see tests/test_schedule.cpp).
+/// see tests/test_schedule.cpp). Throws SimError if the batch does not
+/// finish.
 PerformanceMetrics measure_performance(const dfc::core::NetworkSpec& spec, std::size_t batch,
                                        std::uint64_t seed = 7,
                                        const dfc::hw::CostModel& cost = {},

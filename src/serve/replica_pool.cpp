@@ -37,8 +37,12 @@ ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replica
 }
 
 std::uint64_t ReplicaPool::measure(std::size_t replica, std::size_t n) {
-  const auto images = timing_images(spec_, n);
-  return harnesses_[replica]->run_batch(images).total_cycles();
+  const dfc::core::BatchResult r = harnesses_[replica]->run_batch(timing_images(spec_, n));
+  if (!r.ok()) {
+    throw SimError("service measurement of " + spec_.name + " batch " + std::to_string(n) +
+                   " did not finish (" + dfc::core::run_status_name(r.status) + "): " + r.error);
+  }
+  return r.total_cycles();
 }
 
 std::uint64_t ReplicaPool::service_cycles(std::size_t n) {

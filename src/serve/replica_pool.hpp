@@ -37,7 +37,8 @@ class ReplicaPool {
   const dfc::core::NetworkSpec& spec() const { return spec_; }
 
   /// Cycles a replica needs to run a back-to-back batch of `n` images,
-  /// memoized (first call per size simulates on replica 0).
+  /// memoized (first call per size simulates on replica 0). Throws SimError
+  /// if the batch does not finish.
   std::uint64_t service_cycles(std::size_t n);
 
   /// Pre-measures batch sizes 1..max_batch across the replica harnesses on

@@ -52,7 +52,7 @@ enum class Code {
   DF103,  ///< weight or bias table size mismatch
   DF104,  ///< element-level filter chain combined with zero-padding
   DF105,  ///< classifier input count does not match upstream volume
-  DF106,  ///< core parameter out of range (accumulator count, activation)
+  DF106,  ///< core parameter out of range (accumulator count, activation, op latency)
   // --- rate consistency ------------------------------------------------------
   DF201,  ///< FIFO too shallow to sustain one transfer per cycle
   DF202,  ///< inter-device link statically throttles the design interval

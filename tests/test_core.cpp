@@ -276,6 +276,49 @@ TEST(HarnessTest, ImageLatencyExceedsStreamingTime) {
             static_cast<std::uint64_t>(spec.input_shape.volume()));
 }
 
+TEST(HarnessTest, SlowOperatorsAreNotADeadlock) {
+  // A 100 000-cycle adder keeps a core silent for longer than the default
+  // watchdog window; the harness derives its watchdog from the operator
+  // pipelines, so the legal design finishes with unchanged logits.
+  const NetworkSpec fast = make_usps_spec(6);
+  NetworkSpec slow = fast;
+  slow.latency.fadd = 100'000;
+  AcceleratorHarness slow_harness(build_accelerator(slow));
+  EXPECT_GT(idle_watchdog_cycles(slow_harness.accelerator()), 100'000u);
+  EXPECT_EQ(idle_watchdog_cycles(build_accelerator(fast)), 100'000u);
+  const auto images = dfc::report::random_images(fast, 2);
+  const BatchResult r = slow_harness.run_batch(images);
+  ASSERT_TRUE(r.ok()) << run_status_name(r.status) << ": " << r.error;
+  AcceleratorHarness fast_harness(build_accelerator(fast));
+  const BatchResult ref = fast_harness.run_batch(images);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_GT(r.total_cycles(), ref.total_cycles());
+  ASSERT_EQ(r.outputs.size(), ref.outputs.size());
+  for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+    ASSERT_EQ(r.outputs[i].size(), ref.outputs[i].size());
+    EXPECT_EQ(std::memcmp(r.outputs[i].data(), ref.outputs[i].data(),
+                          r.outputs[i].size() * sizeof(float)),
+              0)
+        << "image " << i;
+  }
+}
+
+TEST(HarnessTest, UnfinishedRunsRaiseTypedErrors) {
+  // A cycle budget the batch cannot meet is reported as kTimeout by the
+  // harness; measurements that need a finished run raise SimError.
+  const NetworkSpec spec = make_usps_spec(6);
+  AcceleratorHarness harness(build_accelerator(spec));
+  EXPECT_EQ(harness.run_batch(dfc::report::random_images(spec, 2), 100).status,
+            RunStatus::kTimeout);
+  harness.set_idle_limit(0);  // every idle cycle is now a deadlock
+  EXPECT_EQ(harness.run_batch(dfc::report::random_images(spec, 2)).status,
+            RunStatus::kDeadlock);
+  // A billion-cycle adder cannot finish inside the default budget.
+  NetworkSpec glacial = spec;
+  glacial.latency.fadd = 1'000'000'000;
+  EXPECT_THROW(dfc::report::measure_performance(glacial, 2), SimError);
+}
+
 TEST(DmaTest, SourceRejectsWrongShape) {
   const NetworkSpec spec = make_usps_spec(6);
   Accelerator acc = build_accelerator(spec);

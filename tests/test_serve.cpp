@@ -487,6 +487,15 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+TEST(ReplicaPoolTest, UnfinishedServiceMeasurementThrowsSimError) {
+  // A billion-cycle adder cannot finish inside the default budget: the pool
+  // must not price the partial run.
+  core::NetworkSpec spec = core::make_usps_spec();
+  spec.latency.fadd = 1'000'000'000;
+  ReplicaPool pool(spec, 1);
+  EXPECT_THROW(pool.service_cycles(2), SimError);
+}
+
 TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
   // USPS on two replicas at 1.2x their batch-16 capacity, with metric
   // snapshots and request spans on. The pin covers every byte the planner

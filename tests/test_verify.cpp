@@ -723,6 +723,22 @@ TEST(VerifySpecRuleTest, AccumulatorCountMustBePositive) {
   }
 }
 
+TEST(VerifySpecRuleTest, MultiplierLatencyMustBePositive) {
+  for (const int cycles : {0, -1}) {
+    NetworkSpec spec = tiny_pipeline();
+    spec.latency.fmul = cycles;
+    expect_rejected(spec, Code::DF106);
+  }
+}
+
+TEST(VerifySpecRuleTest, AdderLatencyMustBePositive) {
+  for (const int cycles : {0, -1}) {
+    NetworkSpec spec = tiny_pipeline();
+    spec.latency.fadd = cycles;
+    expect_rejected(spec, Code::DF106);
+  }
+}
+
 TEST(VerifySpecRuleTest, ActivationMustBeKnown) {
   NetworkSpec conv = tiny_pipeline();
   std::get<ConvLayerSpec>(conv.layers[0]).act = dfc::core::Activation{77};

@@ -408,6 +408,27 @@ TEST(MultiFpgaExecTest, MeasuredIntervalMatchesEstimateFastAndSlowLink) {
   }
 }
 
+TEST(MultiFpgaExecTest, BackToBackBatchesReadIdenticalCycles) {
+  // Reset rewinds every board — its DMA bus included — so a second batch on
+  // one harness is the same measurement as the first.
+  const LinkModel link{40, 4};
+  for (const auto& [spec, batch] : {std::pair{dfc::core::make_usps_spec(50), std::size_t{16}},
+                                    std::pair{dfc::core::make_cifar_spec(51), std::size_t{14}}}) {
+    dfc::core::BuildOptions opts;
+    opts.link = link;
+    MultiFpgaHarness multi(
+        build_multi_fpga(spec, partition_network_exact(spec, 2, link).layer_device, opts));
+    const auto images = dfc::report::random_images(spec, batch);
+    const auto first = multi.run_batch(images);
+    const auto second = multi.run_batch(images);
+    ASSERT_TRUE(first.ok()) << first.error;
+    ASSERT_TRUE(second.ok()) << spec.name << ": " << second.error;
+    EXPECT_EQ(first.inject_cycles, second.inject_cycles) << spec.name;
+    EXPECT_EQ(first.completion_cycles, second.completion_cycles) << spec.name;
+    EXPECT_EQ(first.outputs, second.outputs) << spec.name;
+  }
+}
+
 TEST(MultiFpgaExecTest, RejectsNonMonotoneOrIncompleteMapping) {
   const auto spec = dfc::core::make_usps_spec(41);
   EXPECT_THROW(build_multi_fpga(spec, {0, 1, 0, 1}), ConfigError);

@@ -3,13 +3,14 @@
 // static schedule must be indistinguishable from stepping the cycle engine —
 // logits bit-identical, inject/completion cycles equal — on every example
 // design, with the shared DMA bus on and off, at batch sizes inside and far
-// beyond the calibration prefix. Also pins the automatic fallback to
-// cycle-level stepping whenever the context is watched or perturbed, the
-// structured timeout emulation, the process-wide schedule cache, and
-// byte-determinism across DFCNN_SWEEP_THREADS.
+// beyond the calibration prefix, on one board and on 2-4-board cuts. Also pins
+// the automatic fallback to cycle-level stepping whenever any board is
+// watched or perturbed, the structured timeout emulation, the process-wide
+// schedule cache, and byte-determinism across DFCNN_SWEEP_THREADS.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "core/presets.hpp"
 #include "core/schedule.hpp"
 #include "dataflow/sim_context.hpp"
+#include "multifpga/exec.hpp"
+#include "multifpga/partition.hpp"
 #include "obs/trace.hpp"
 #include "report/experiments.hpp"
 
@@ -88,6 +91,50 @@ TEST(CompiledScheduleTest, SequentialModeMatchesCycleEngine) {
     expect_identical(cycle.run_sequential(images), compiled.run_sequential(images),
                      spec.name + " sequential");
   }
+}
+
+/// Every 2..4-board exact cut of `spec`: compiled inject/completion cycles
+/// equal the cycle engine's at a batch one past the calibration prefix, in
+/// batch and sequential mode, and the logits equal one board's.
+void expect_multi_board_engines_agree(const NetworkSpec& spec) {
+  AcceleratorHarness one(build_accelerator(spec));
+  std::map<std::size_t, std::vector<std::vector<float>>> one_board;  // by batch size
+  for (std::size_t boards = 2; boards <= 4; ++boards) {
+    const auto cut = dfc::mfpga::partition_network_exact(spec, boards, {}).layer_device;
+    for (const ScheduleMode mode : {ScheduleMode::kBatch, ScheduleMode::kSequential}) {
+      const bool sequential = mode == ScheduleMode::kSequential;
+      const std::size_t batch = shared_schedule(spec, compiled_options(), mode, cut)
+                                    ->calibration_images() + 1;
+      const auto images = dfc::report::random_images(spec, batch);
+      dfc::mfpga::MultiFpgaHarness cycle(dfc::mfpga::build_multi_fpga(spec, cut, cycle_options()));
+      dfc::mfpga::MultiFpgaHarness compiled(
+          dfc::mfpga::build_multi_fpga(spec, cut, compiled_options()));
+      ASSERT_TRUE(compiled.compiled_mode_legal());
+      const BatchResult rc = sequential ? cycle.run_sequential(images) : cycle.run_batch(images);
+      const BatchResult rf =
+          sequential ? compiled.run_sequential(images) : compiled.run_batch(images);
+      const std::string what = spec.name + " boards=" + std::to_string(boards) +
+                               (sequential ? " sequential" : " batch") +
+                               "=" + std::to_string(batch);
+      ASSERT_TRUE(rc.ok()) << what << ": " << rc.error;
+      expect_identical(rc, rf, what);
+      auto& logits = one_board[batch];
+      if (logits.empty()) logits = one.run_batch(images).outputs;
+      EXPECT_EQ(rf.outputs, logits) << what;
+    }
+  }
+}
+
+TEST(CompiledScheduleTest, MultiBoardUspsMatchesCycleEngine) {
+  expect_multi_board_engines_agree(make_usps_spec());
+}
+
+TEST(CompiledScheduleTest, MultiBoardCifarMatchesCycleEngine) {
+  expect_multi_board_engines_agree(make_cifar_spec());
+}
+
+TEST(CompiledScheduleTest, MultiBoardAlexnetMiniMatchesCycleEngine) {
+  expect_multi_board_engines_agree(make_alexnet_mini_spec());
 }
 
 TEST(CompiledScheduleTest, RepeatedRunsAreDeterministic) {
@@ -216,6 +263,61 @@ TEST(CompiledScheduleTest, WatchedContextsFallBackToCycleEngine) {
   expect_identical(expected, h.run_batch(images), "legal again");
 }
 
+TEST(CompiledScheduleTest, WatchedBoardsFallBackToCycleEngine) {
+  // The same guards on a 2-board design: whatever watches any one board, or
+  // the links between them, forces the cycle engine there.
+  const NetworkSpec spec = make_usps_spec();
+  const std::vector<std::size_t> cut{0, 0, 1, 1};
+  const auto images = dfc::report::random_images(spec, 3);
+  dfc::mfpga::MultiFpgaHarness reference(dfc::mfpga::build_multi_fpga(spec, cut, cycle_options()));
+  const BatchResult expected = reference.run_batch(images);
+  ASSERT_TRUE(expected.ok()) << expected.error;
+
+  dfc::mfpga::MultiFpgaHarness h(dfc::mfpga::build_multi_fpga(spec, cut, compiled_options()));
+  ASSERT_TRUE(h.compiled_mode_legal());
+  expect_identical(expected, h.run_batch(images), "compiled");
+  for (std::size_t board = 0; board < h.device_count(); ++board) {
+    dfc::df::SimContext& ctx = h.device_context(board);
+    const std::string on = " on board " + std::to_string(board);
+    {
+      NullHook hook;
+      ctx.attach_cycle_hook(&hook);
+      EXPECT_FALSE(h.compiled_mode_legal());
+      expect_identical(expected, h.run_batch(images), "hooked" + on);
+      ctx.attach_cycle_hook(nullptr);
+    }
+    {
+      dfc::obs::TraceSink sink;
+      ctx.attach_trace(&sink);
+      EXPECT_FALSE(h.compiled_mode_legal());
+      expect_identical(expected, h.run_batch(images), "traced" + on);
+      EXPECT_GT(sink.events().size(), 0u);
+      ctx.attach_trace(nullptr);
+    }
+    {
+      ctx.enable_integrity_guards(nullptr, 0.0f);
+      EXPECT_FALSE(h.compiled_mode_legal());
+      expect_identical(expected, h.run_batch(images), "guarded" + on);
+      ctx.disable_integrity_guards();
+    }
+  }
+  {
+    h.set_link_attribution(true);
+    EXPECT_FALSE(h.compiled_mode_legal());
+    expect_identical(expected, h.run_batch(images), "link-attributed");
+    EXPECT_GT(h.link_observed_cycles(), 0u);
+    h.set_link_attribution(false);
+  }
+  {
+    h.accelerator().sink->set_stream_guard(true, 1e9f);
+    EXPECT_FALSE(h.compiled_mode_legal());
+    expect_identical(expected, h.run_batch(images), "stream-guarded");
+    h.accelerator().sink->set_stream_guard(false);
+  }
+  EXPECT_TRUE(h.compiled_mode_legal());
+  expect_identical(expected, h.run_batch(images), "legal again");
+}
+
 // --- structured timeout emulation ----------------------------------------------
 
 TEST(CompiledScheduleTest, TimeoutMatchesCycleEngine) {
@@ -280,15 +382,19 @@ TEST(CompiledScheduleTest, ScheduleIsCachedAcrossHarnesses) {
 
 TEST(CompiledScheduleTest, CacheKeyIgnoresWeightsButNotTiming) {
   // Timing does not depend on weights — two seeds share one schedule — but
-  // it does depend on the DMA bus mode.
-  const std::string k1 = schedule_cache_key(make_usps_spec(1), compiled_options(), //
-                                            ScheduleMode::kBatch);
-  const std::string k2 = schedule_cache_key(make_usps_spec(99), compiled_options(),
-                                            ScheduleMode::kBatch);
-  const std::string k3 = schedule_cache_key(make_usps_spec(1), compiled_options(false),
-                                            ScheduleMode::kBatch);
-  EXPECT_EQ(k1, k2);
-  EXPECT_NE(k1, k3);
+  // it does depend on the DMA bus mode, the board cut and the credit window.
+  const auto key = [](const NetworkSpec& spec, const BuildOptions& options,
+                      const std::vector<std::size_t>& cut = {}, int credits = 0) {
+    return schedule_cache_key(spec, options, ScheduleMode::kBatch, cut, credits);
+  };
+  const std::string k1 = key(make_usps_spec(1), compiled_options());
+  EXPECT_EQ(k1, key(make_usps_spec(99), compiled_options()));
+  EXPECT_NE(k1, key(make_usps_spec(1), compiled_options(false)));
+  const std::string two = key(make_usps_spec(1), compiled_options(), {0, 0, 1, 1});
+  EXPECT_EQ(two, key(make_usps_spec(99), compiled_options(), {0, 0, 1, 1}));
+  EXPECT_NE(two, k1);
+  EXPECT_NE(two, key(make_usps_spec(1), compiled_options(), {0, 1, 1, 1}));
+  EXPECT_NE(two, key(make_usps_spec(1), compiled_options(), {0, 0, 1, 1}, 1));
 }
 
 // --- steady interval of the schedule itself ------------------------------------

@@ -527,7 +527,18 @@ int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double lin
               static_cast<long long>(plan.timing.interval_cycles),
               static_cast<unsigned long long>(rm.steady_interval_cycles()));
   std::printf("logits identical to single-device: %s\n", identical ? "yes" : "NO");
-  return identical ? 0 : 1;
+
+  // The same cut on the compiled schedule: calibrated once on the cycle
+  // engine, then replayed; cycles and logits must not move.
+  core::BuildOptions compiled_opts = opts;
+  compiled_opts.execution_mode = core::ExecutionMode::kCompiledSchedule;
+  mfpga::MultiFpgaHarness replay(
+      mfpga::build_multi_fpga(spec, plan.layer_device, compiled_opts));
+  const auto rc = replay.run_batch(images);
+  const bool replayed = rc.ok() && rc.inject_cycles == rm.inject_cycles &&
+                        rc.completion_cycles == rm.completion_cycles && rc.outputs == rm.outputs;
+  std::printf("compiled replay identical to cycle engine: %s\n", replayed ? "yes" : "NO");
+  return identical && replayed ? 0 : 1;
 }
 
 int cmd_check(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,

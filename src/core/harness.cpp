@@ -105,12 +105,12 @@ BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cy
   DesignInstance& d = *design_;
   BatchResult r;
   r.requested = images.size();
-  const auto observe = [this](std::uint64_t now) { classify_links(now); };
+  std::function<void(std::uint64_t)> observe;
+  if (link_attr_) observe = [this](std::uint64_t now) { classify_links(now); };
   const auto run_to = [&](std::size_t want) {
     dfc::df::run_lockstep(
         contexts_, [&] { return d.sink->images_completed() >= want; }, max_cycles, idle_limit_,
-        [this] { return fifo_report(); },
-        link_attr_ ? std::function<void(std::uint64_t)>(observe) : nullptr);
+        [this] { return fifo_report(); }, observe);
   };
   try {
     if (sequential) {
@@ -135,9 +135,7 @@ BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cy
   r.outputs = d.sink->outputs();
   // A partial run's span is the cycles actually burnt, not the last
   // completion before the abort.
-  r.end_cycle = !r.ok()                       ? contexts_.front()->cycle()
-                : r.completion_cycles.empty() ? 0
-                                              : r.completion_cycles.back();
+  r.end_cycle = r.ok() ? r.completion_cycles.back() : contexts_.front()->cycle();
   return r;
 }
 

@@ -33,9 +33,7 @@ namespace dfc::mfpga {
 /// A built multi-device design: the instantiated graph (source on board 0,
 /// sink on the last board, one wire per boundary port), one context per
 /// board.
-struct MultiFpgaAccelerator : dfc::core::DesignInstance {
-  std::size_t device_count() const { return contexts.size(); }
-};
+struct MultiFpgaAccelerator : dfc::core::DesignInstance {};
 
 /// Builds the partitioned design. `layer_device` must cover every layer and
 /// be monotone non-decreasing (the design is a pipeline; layers never

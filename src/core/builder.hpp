@@ -55,7 +55,15 @@ struct BuildOptions {
 /// A DesignGraph made real: the graph itself, one clock domain per board,
 /// the simulator entity behind each node and channel, and typed views of the
 /// interesting ones. Raw pointers are stable views into the owning contexts.
+/// The harness owns a design through this base, whatever its builder.
 struct DesignInstance {
+  DesignInstance() = default;
+  virtual ~DesignInstance() = default;
+  DesignInstance(DesignInstance&&) = default;
+  DesignInstance& operator=(DesignInstance&&) = default;
+  DesignInstance(const DesignInstance&) = delete;
+  DesignInstance& operator=(const DesignInstance&) = delete;
+
   NetworkSpec spec;
   BuildOptions options;  ///< the options this design was built with
   /// Device per layer as given to mfpga::build_multi_fpga; empty for

@@ -123,7 +123,7 @@ CampaignResult run_campaign(const core::NetworkSpec& spec, const CampaignConfig&
     tr.fault = draw_fault(rng, result.sites, result.fault_free_cycles);
 
     core::Harness harness = campaign_harness(spec, config);
-    const core::DmaSink& sink = *harness.design().sink;
+    core::DmaSink& sink = *harness.design().sink;
 
     // The injector hooks the board owning the target FIFO; the guards watch
     // every board, the stream guard the sink.
@@ -136,7 +136,7 @@ CampaignResult run_campaign(const core::NetworkSpec& spec, const CampaignConfig&
     injector.attach(harness.device_context(owner));
     if (config.detection) {
       harness.enable_integrity_guards(&injector, injector.plan().range_bound);
-      harness.design().sink->set_stream_guard(true, injector.plan().range_bound);
+      sink.set_stream_guard(true, injector.plan().range_bound);
     }
 
     bool aborted = false;

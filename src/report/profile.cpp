@@ -97,38 +97,25 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
   in.batch = options.batch;
   in.predicted_interval = est.interval_cycles;
 
-  if (options.devices == 1) {
-    dfc::core::AcceleratorHarness harness(dfc::core::build_accelerator(spec, options.build));
-    dfc::core::Accelerator& acc = harness.accelerator();
-    acc.ctx->set_stall_accounting(true);
-    const dfc::core::BatchResult result = harness.run_batch(images);
-    DFC_REQUIRE(result.ok(), "profile run did not complete: " + result.error);
-
-    in.devices = 1;
-    in.shared_dma_bus = options.build.dma_shared_bus;
-    in.observed_interval = result.steady_interval_cycles();
-
-    in.stages = build_stage_samples(est, acc, {acc.ctx});
-    in.fifos = build_fifo_samples({acc.ctx});
-    return obs::analyze_bottleneck(std::move(in));
-  }
-
-  // Multi-device: partition, run in lockstep with per-board stall accounting
-  // and per-link attribution armed.
+  // One path for any board count: every board under stall accounting, every
+  // link attributed. One board keeps build_accelerator's unprefixed names.
   const int cycles_per_word = std::max(1, static_cast<int>(3.2 / options.link_gbps + 0.5));
-  const dfc::core::LinkModel link{40, cycles_per_word};
-  const auto plan =
-      dfc::mfpga::partition_network_exact(spec, options.devices, link, options.link_credits);
   dfc::core::BuildOptions build = options.build;
-  build.link = link;
+  build.link = dfc::core::LinkModel{40, cycles_per_word};
+  std::vector<std::size_t> cut;
+  if (options.devices > 1) {
+    cut = dfc::mfpga::partition_network_exact(spec, options.devices, build.link,
+                                              options.link_credits)
+              .layer_device;
+  }
   dfc::mfpga::MultiFpgaHarness harness(
-      dfc::mfpga::build_multi_fpga(spec, plan.layer_device, build, options.link_credits));
+      dfc::mfpga::build_multi_fpga(spec, cut, build, options.link_credits));
   for (std::size_t d = 0; d < harness.device_count(); ++d) {
     harness.device_context(d).set_stall_accounting(true);
   }
   harness.set_link_attribution(true);
   const dfc::core::BatchResult result = harness.run_batch(images);
-  DFC_REQUIRE(result.ok(), "multi-FPGA profile run did not complete: " + result.error);
+  DFC_REQUIRE(result.ok(), "profile run did not complete: " + result.error);
 
   const dfc::mfpga::MultiFpgaAccelerator& acc = harness.accelerator();
   in.devices = harness.device_count();

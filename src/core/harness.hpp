@@ -200,7 +200,7 @@ class Harness {
 
   std::unique_ptr<DesignInstance> design_;
   std::vector<dfc::df::SimContext*> contexts_;  ///< lockstep order: board order
-  std::uint64_t idle_limit_;
+  std::uint64_t idle_limit_ = 0;
 
   bool link_attr_ = false;
   obs::TraceSink* link_trace_ = nullptr;

@@ -2,7 +2,7 @@
 // routing policies, deadline-class admission ordering under overload,
 // autoscaler hysteresis on a step load, multi-board service tables,
 // byte-determinism of the full report across DFCNN_SWEEP_THREADS, and pinned
-// report bytes of the CLI's reference fleet.
+// report bytes of the CLI's reference fleet under every routing policy.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -479,6 +479,41 @@ TEST(ClusterPinTest, ReferenceFleetReportsMatchPinnedHashes) {
     std::size_t scale_downs = 0;
     for (const NodeStats& n : report.stats.node_stats) scale_downs += n.scale_downs;
     EXPECT_GT(scale_downs, 0u) << shape;
+    EXPECT_EQ(fnv1a(report.csv() + report.stats.to_json()), pin.hash) << shape;
+  }
+}
+
+TEST(ClusterPinTest, RoutingPoliciesMatchPinnedHashes) {
+  // The same fleet and load under the other two routing policies: weighted
+  // diurnal is the one reference run that sheds on queue overflow, and
+  // round-robin bursty sheds on deadlines while the autoscaler works hard.
+  const core::NetworkSpec spec = core::make_usps_preset().compile_spec();
+  const struct {
+    RoutePolicy policy;
+    dfc::serve::ArrivalProcess shape;
+    std::uint64_t shed_overflow;
+    std::uint64_t shed_deadline;
+    std::size_t scale_events;
+    std::uint64_t hash;
+  } pins[] = {
+      {RoutePolicy::kWeighted, dfc::serve::ArrivalProcess::kDiurnal, 239, 1156, 30,
+       0x73959a595d3e37a4ULL},
+      {RoutePolicy::kRoundRobin, dfc::serve::ArrivalProcess::kBursty, 0, 1018, 91,
+       0x254a319865549f33ULL}};
+  for (const auto& pin : pins) {
+    ClusterConfig config = reference_fleet_config(spec);
+    config.policy = pin.policy;
+    Cluster fleet(spec, config);
+    dfc::serve::LoadSpec ls;
+    ls.arrivals = pin.shape;
+    ls.rate_images_per_second = 2'000'000.0;
+    ls.request_count = 40'000;
+    ls.seed = 7;
+    const char* shape = dfc::serve::arrival_process_name(pin.shape);
+    const ClusterReport report = fleet.run(dfc::serve::generate_load(spec, ls), shape, shape);
+    EXPECT_EQ(report.stats.shed_overflow, pin.shed_overflow) << shape;
+    EXPECT_EQ(report.stats.shed_deadline, pin.shed_deadline) << shape;
+    EXPECT_EQ(report.stats.scale_events, pin.scale_events) << shape;
     EXPECT_EQ(fnv1a(report.csv() + report.stats.to_json()), pin.hash) << shape;
   }
 }

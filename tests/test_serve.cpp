@@ -2,7 +2,8 @@
 // block), dynamic batcher triggers (size and timeout), FIFO response
 // ordering, replica-pool determinism across thread counts, output
 // correctness against the single-image harness, the percentile helpers
-// against a sorted reference, and pinned report bytes of an overloaded plan.
+// against a sorted reference, and pinned report bytes of an overloaded plan,
+// a fault-mode plan and a plan whose whole pool dies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -496,32 +497,25 @@ TEST(ReplicaPoolTest, UnfinishedServiceMeasurementThrowsSimError) {
   EXPECT_THROW(pool.service_cycles(2), SimError);
 }
 
-TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
-  // USPS on two replicas at 1.2x their batch-16 capacity, with metric
-  // snapshots and request spans on. The pin covers every byte the planner
-  // reports (outcomes, scorecard, metrics CSV, spans), as computed by the
-  // planner before its outcome records were packed.
-  const core::NetworkSpec spec = core::make_usps_spec();
-  ReplicaPool pool(spec, 1);
+/// The USPS preset's measured service table for batch sizes 1..16.
+std::vector<std::uint64_t> usps_service_table() {
+  ReplicaPool pool(core::make_usps_spec(), 1);
   pool.warm(16);
   std::vector<std::uint64_t> table;
   for (std::size_t n = 1; n <= 16; ++n) table.push_back(pool.service_cycles(n));
+  return table;
+}
 
-  ServeConfig config = basic_config(16, 4096, 2);
-  MetricsRegistry registry;
-  config.metrics = &registry;
-  config.metrics_snapshot_cycles = 250'000;
-  obs::TraceSink sink;
-  config.trace = &sink;
-  LoadSpec ls;
-  ls.rate_images_per_second =
-      1.2 * 2.0 * 16.0 / core::cycles_to_seconds(static_cast<double>(table[15]));
-  ls.request_count = 20'000;
-  ls.seed = 5;
-  const ServeReport report = plan_serving(generate_load(spec, ls).requests, config, table);
-  ASSERT_GT(report.stats.shed_requests, 0u);
-  ASSERT_EQ(sink.dropped(), 0u);
+/// Requests per second that keep `replicas` replicas at `load` times their
+/// batch-16 capacity.
+double batch16_rate(const std::vector<std::uint64_t>& table, double load, double replicas) {
+  return load * replicas * 16.0 / core::cycles_to_seconds(static_cast<double>(table[15]));
+}
 
+/// FNV-1a over every byte a plan reports: the outcomes, the batch records
+/// (when `with_batches`), the scorecard, the metrics CSV and the spans.
+std::uint64_t plan_hash(const ServeReport& report, const obs::TraceSink& sink,
+                        bool with_batches) {
   Fnv1a h;
   for (const RequestOutcome& o : report.outcomes) {
     for (const std::uint64_t v : {o.id, o.arrival_cycle, o.dispatch_cycle, o.completion_cycle,
@@ -529,6 +523,16 @@ TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
                                   std::uint64_t{o.retries}, std::uint64_t{o.shed},
                                   std::uint64_t{o.failed}}) {
       h.add(v);
+    }
+  }
+  if (with_batches) {
+    for (const BatchRecord& b : report.batch_records) {
+      for (const std::uint64_t v : {std::uint64_t{b.id}, std::uint64_t{b.replica},
+                                    b.dispatch_cycle, b.completion_cycle,
+                                    std::uint64_t{b.failed}, std::uint64_t{b.corrupted}}) {
+        h.add(v);
+      }
+      for (const std::uint64_t id : b.request_ids) h.add(id);
     }
   }
   h.add(report.stats.render());
@@ -539,7 +543,100 @@ TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
       h.add(v);
     }
   }
-  EXPECT_EQ(h.value(), 0xade2abde4603f15eULL);
+  return h.value();
+}
+
+TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
+  // USPS on two replicas at 1.2x their batch-16 capacity, with metric
+  // snapshots and request spans on. The pin covers every byte the planner
+  // reports (outcomes, scorecard, metrics CSV, spans), as computed by the
+  // planner before its outcome records were packed.
+  const core::NetworkSpec spec = core::make_usps_spec();
+  const std::vector<std::uint64_t> table = usps_service_table();
+
+  ServeConfig config = basic_config(16, 4096, 2);
+  MetricsRegistry registry;
+  config.metrics = &registry;
+  config.metrics_snapshot_cycles = 250'000;
+  obs::TraceSink sink;
+  config.trace = &sink;
+  LoadSpec ls;
+  ls.rate_images_per_second = batch16_rate(table, 1.2, 2.0);
+  ls.request_count = 20'000;
+  ls.seed = 5;
+  const ServeReport report = plan_serving(generate_load(spec, ls).requests, config, table);
+  ASSERT_GT(report.stats.shed_requests, 0u);
+  ASSERT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(plan_hash(report, sink, false), 0xade2abde4603f15eULL);
+}
+
+TEST(PlanServingTest, FaultPlanMatchesPinnedHash) {
+  // USPS on three replicas at their batch-16 capacity under the default
+  // recovery policy: replica 0 corrupts one batch, replica 2 corrupts two
+  // and is quarantined, replica 1 is killed mid-run, and the lone survivor
+  // then sheds and fails retries. Metric snapshots and spans are on.
+  const core::NetworkSpec spec = core::make_usps_spec();
+  const std::vector<std::uint64_t> table = usps_service_table();
+
+  ServeConfig config = basic_config(16, 4096, 3);
+  MetricsRegistry registry;
+  config.metrics = &registry;
+  config.metrics_snapshot_cycles = 250'000;
+  obs::TraceSink sink;
+  config.trace = &sink;
+  fault::FaultPlan plan;
+  plan.replica_kills.push_back({1, 900'000});
+  plan.batch_corruptions.push_back({0, 40});
+  plan.batch_corruptions.push_back({2, 100});
+  plan.batch_corruptions.push_back({2, 150});
+  config.faults = &plan;
+  LoadSpec ls;
+  ls.rate_images_per_second = batch16_rate(table, 1.0, 3.0);
+  ls.request_count = 20'000;
+  ls.seed = 9;
+  const ServeReport report = plan_serving(generate_load(spec, ls).requests, config, table);
+  const ServeStats& s = report.stats;
+  EXPECT_EQ(s.quarantined_replicas, 2u);
+  EXPECT_EQ(s.failed_batches, 1u);
+  EXPECT_EQ(s.corrupted_batches, 3u);
+  EXPECT_GT(s.retried_requests, 0u);
+  EXPECT_GT(s.failed_requests, 0u);
+  EXPECT_GT(s.shed_requests, 0u);
+  EXPECT_EQ(s.completed_requests + s.shed_requests + s.failed_requests, s.offered_requests);
+  ASSERT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(plan_hash(report, sink, true), 0x99506ac712fafed4ULL);
+}
+
+TEST(PlanServingTest, PoolDeathPlanMatchesPinnedHash) {
+  // Both replicas die while requests keep arriving: the queue fills and
+  // sheds, and once nothing can ever complete the planner drains the queue,
+  // the retry backlog and the remaining arrivals as failed.
+  const core::NetworkSpec spec = core::make_usps_spec();
+  const std::vector<std::uint64_t> table = usps_service_table();
+
+  ServeConfig config = basic_config(16, 4096, 2);
+  MetricsRegistry registry;
+  config.metrics = &registry;
+  config.metrics_snapshot_cycles = 100'000;
+  obs::TraceSink sink;
+  config.trace = &sink;
+  fault::FaultPlan plan;
+  plan.replica_kills.push_back({0, 300'000});
+  plan.replica_kills.push_back({1, 500'000});
+  config.faults = &plan;
+  LoadSpec ls;
+  ls.rate_images_per_second = batch16_rate(table, 0.8, 2.0);
+  ls.request_count = 5'000;
+  ls.seed = 13;
+  const ServeReport report = plan_serving(generate_load(spec, ls).requests, config, table);
+  const ServeStats& s = report.stats;
+  EXPECT_EQ(s.quarantined_replicas, 2u);
+  EXPECT_GT(s.failed_requests, 0u);
+  EXPECT_GT(s.shed_requests, 0u);
+  EXPECT_EQ(s.completed_requests + s.shed_requests + s.failed_requests, s.offered_requests);
+  EXPECT_LE(report.batch_records.back().completion_cycle, 500'000u);
+  ASSERT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(plan_hash(report, sink, true), 0x7caf830e785f85b7ULL);
 }
 
 // --- plan_serving: fault recovery ----------------------------------------------

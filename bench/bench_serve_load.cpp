@@ -24,9 +24,9 @@
 #include "core/harness.hpp"
 #include "core/presets.hpp"
 #include "core/schedule.hpp"
+#include "cluster/service_table.hpp"
 #include "report/sweep_runner.hpp"
 #include "serve/load_generator.hpp"
-#include "serve/replica_pool.hpp"
 #include "serve/server.hpp"
 
 int main() {
@@ -37,31 +37,25 @@ int main() {
   constexpr std::size_t kRequests = 3000;
   constexpr std::size_t kMaxBatch = 16;
 
-  // One warmed service table serves every scenario: entry n-1 is the exact
-  // cycle cost of a size-n batch. Warming is where the serve bench spends
-  // its simulation time, so it runs on the compiled-schedule fast path —
-  // after checking, once, that the fast path reproduces the cycle engine's
-  // table exactly.
+  // One measured service table serves every scenario: entry n-1 is the
+  // exact cycle cost of a size-n batch. Measuring is where the serve bench
+  // spends its simulation time, so it runs on the compiled-schedule fast
+  // path — after checking, once, that the fast path reproduces the cycle
+  // engine's table exactly.
   core::BuildOptions compiled_options;
   compiled_options.execution_mode = core::ExecutionMode::kCompiledSchedule;
   core::clear_schedule_cache();
 
   const auto t0 = std::chrono::steady_clock::now();
-  serve::ReplicaPool cycle_pool(spec, kReplicas);
-  cycle_pool.warm(kMaxBatch);
+  const std::vector<std::uint64_t> cycle_table =
+      cluster::measure_service_table(spec, 1, kMaxBatch);
   const auto t1 = std::chrono::steady_clock::now();
-  serve::ReplicaPool pool(spec, kReplicas, compiled_options);
-  pool.warm(kMaxBatch);
+  const std::vector<std::uint64_t> table =
+      cluster::measure_service_table(spec, 1, kMaxBatch, {}, compiled_options);
   const auto t2 = std::chrono::steady_clock::now();
   const double warm_cycle_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   const double warm_compiled_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-
-  std::vector<std::uint64_t> table;
-  bool tables_identical = true;
-  for (std::size_t n = 1; n <= kMaxBatch; ++n) {
-    table.push_back(pool.service_cycles(n));
-    tables_identical = tables_identical && table.back() == cycle_pool.service_cycles(n);
-  }
+  const bool tables_identical = table == cycle_table;
 
   // Nominal capacity: every replica serving back-to-back full batches.
   const double batch16_rps =

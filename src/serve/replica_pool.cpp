@@ -1,29 +1,11 @@
 #include "serve/replica_pool.hpp"
 
-#include <algorithm>
 #include <string>
 
-#include "common/rng.hpp"
+#include "cluster/service_table.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dfc::serve {
-
-namespace {
-// Random images for timing measurements. The design's cycle counts are
-// data-independent, so any deterministic content works; seeded generation
-// keeps warm() reproducible byte for byte.
-std::vector<Tensor> timing_images(const dfc::core::NetworkSpec& spec, std::size_t count) {
-  Rng rng(7);
-  std::vector<Tensor> images;
-  images.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Tensor t(spec.input_shape);
-    for (float& v : t.flat()) v = rng.uniform(-1.0f, 1.0f);
-    images.push_back(std::move(t));
-  }
-  return images;
-}
-}  // namespace
 
 ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replicas,
                          const dfc::core::BuildOptions& options)
@@ -31,49 +13,8 @@ ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replica
   DFC_REQUIRE(replicas > 0, "replica pool needs at least one replica");
   harnesses_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    harnesses_.push_back(std::make_unique<dfc::core::AcceleratorHarness>(
-        dfc::core::build_accelerator(spec_, options)));
+    harnesses_.push_back(cluster::build_replica(spec_, 1, {}, options));
   }
-}
-
-std::uint64_t ReplicaPool::measure(std::size_t replica, std::size_t n) {
-  const dfc::core::BatchResult r = harnesses_[replica]->run_batch(timing_images(spec_, n));
-  if (!r.ok()) {
-    throw SimError("service measurement of " + spec_.name + " batch " + std::to_string(n) +
-                   " did not finish (" + dfc::core::run_status_name(r.status) + "): " + r.error);
-  }
-  return r.total_cycles();
-}
-
-std::uint64_t ReplicaPool::service_cycles(std::size_t n) {
-  DFC_REQUIRE(n > 0, "service_cycles needs a non-empty batch");
-  if (n > service_cycles_.size()) service_cycles_.resize(n, 0);
-  if (service_cycles_[n - 1] == 0) service_cycles_[n - 1] = measure(0, n);
-  return service_cycles_[n - 1];
-}
-
-void ReplicaPool::warm(std::size_t max_batch, std::size_t threads) {
-  DFC_REQUIRE(max_batch > 0, "warm needs a positive max batch size");
-  if (service_cycles_.size() < max_batch) service_cycles_.resize(max_batch, 0);
-  // One worker per replica harness (a SimContext must never run on two
-  // threads); worker w measures the sizes congruent to it. The table slots
-  // are disjoint and the vector is pre-sized, so no synchronization is
-  // needed, and the measured values are identical for any worker count.
-  const std::size_t workers = std::min(threads == 0 ? default_worker_count() : threads, size());
-  dfc::run_indexed(workers, workers, [&](std::size_t w) {
-    for (std::size_t n = w + 1; n <= max_batch; n += workers) {
-      if (service_cycles_[n - 1] == 0) service_cycles_[n - 1] = measure(w, n);
-    }
-  });
-}
-
-std::size_t ReplicaPool::warmed_batch_limit() const {
-  std::size_t limit = 0;
-  for (std::size_t n = 1; n <= service_cycles_.size(); ++n) {
-    if (service_cycles_[n - 1] == 0) break;
-    limit = n;
-  }
-  return limit;
 }
 
 std::vector<std::vector<float>> ReplicaPool::execute(

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "cluster/service_table.hpp"
 #include "common/csv.hpp"
 #include "common/math_util.hpp"
 #include "core/harness.hpp"
@@ -489,16 +490,11 @@ ServeReport InferenceServer::run(const Load& load) {
     config_.metrics->gauge("serve_replicas", "Replica accelerators behind the endpoint")
         .set(static_cast<double>(pool_.size()));
   }
-  if (pool_.warmed_batch_limit() < config_.batcher.max_batch_size) {
-    pool_.warm(config_.batcher.max_batch_size, config_.threads);
+  if (table_.empty()) {
+    table_ = cluster::measure_service_table(pool_.spec(), 1, config_.batcher.max_batch_size, {},
+                                            config_.build);
   }
-  std::vector<std::uint64_t> table;
-  table.reserve(config_.batcher.max_batch_size);
-  for (std::size_t n = 1; n <= config_.batcher.max_batch_size; ++n) {
-    table.push_back(pool_.service_cycles(n));
-  }
-
-  ServeReport report = plan_serving(load.requests, config_, table);
+  ServeReport report = plan_serving(load.requests, config_, table_);
   report.stats.name = pool_.spec().name;
 
   if (config_.compute_outputs) {

@@ -6,8 +6,8 @@
 // design's timing is data-independent), so the timeline itself is pure
 // arithmetic: same load + same config => identical ServeStats on any
 // machine with any DFCNN_SWEEP_THREADS. Worker threads are used where they
-// cannot affect results — warming the table and replaying batches for real
-// logits, one replica harness per worker.
+// cannot affect results: replaying batches for real logits, one replica
+// harness per worker.
 //
 // Event ordering within one cycle (fixed, hence deterministic):
 //   1. arrivals are admitted or shed (admission sees the queue before any
@@ -50,7 +50,7 @@ struct ServeConfig {
   /// logits in ServeReport::logits (and cross-check planned vs measured
   /// cycles). Off by default: load studies only need the timeline.
   bool compute_outputs = false;
-  /// Worker threads for warm()/execute() (0 = auto). Never changes results.
+  /// Worker threads for execute() (0 = auto). Never changes results.
   std::size_t threads = 0;
   dfc::core::BuildOptions build{};
 
@@ -97,8 +97,9 @@ class InferenceServer {
  public:
   InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config);
 
-  /// Warm (if needed) + plan; with config.compute_outputs also replays the
-  /// plan on the replicas to fill ServeReport::logits.
+  /// Prices batches of 1..max_batch once (cluster::measure_service_table),
+  /// then plans; with config.compute_outputs also replays the plan on the
+  /// replicas to fill ServeReport::logits.
   ServeReport run(const Load& load);
 
   ReplicaPool& pool() { return pool_; }
@@ -107,6 +108,7 @@ class InferenceServer {
  private:
   ServeConfig config_;
   ReplicaPool pool_;
+  std::vector<std::uint64_t> table_;  ///< measured on the first run
 };
 
 }  // namespace dfc::serve

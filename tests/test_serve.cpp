@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/service_table.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -23,7 +24,6 @@
 #include "fault/fault_plan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/load_generator.hpp"
-#include "serve/replica_pool.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 
@@ -489,21 +489,16 @@ class Fnv1a {
 };
 
 TEST(ReplicaPoolTest, UnfinishedServiceMeasurementThrowsSimError) {
-  // A billion-cycle adder cannot finish inside the default budget: the pool
-  // must not price the partial run.
+  // A billion-cycle adder cannot finish inside the default budget: the
+  // replica's service table must not price the partial run.
   core::NetworkSpec spec = core::make_usps_spec();
   spec.latency.fadd = 1'000'000'000;
-  ReplicaPool pool(spec, 1);
-  EXPECT_THROW(pool.service_cycles(2), SimError);
+  EXPECT_THROW(cluster::measure_service_table(spec, 1, 2), SimError);
 }
 
 /// The USPS preset's measured service table for batch sizes 1..16.
 std::vector<std::uint64_t> usps_service_table() {
-  ReplicaPool pool(core::make_usps_spec(), 1);
-  pool.warm(16);
-  std::vector<std::uint64_t> table;
-  for (std::size_t n = 1; n <= 16; ++n) table.push_back(pool.service_cycles(n));
-  return table;
+  return cluster::measure_service_table(core::make_usps_spec(), 1, 16);
 }
 
 /// Requests per second that keep `replicas` replicas at `load` times their

@@ -53,14 +53,6 @@ class DeadlockError : public SimError {
   explicit DeadlockError(const std::string& what) : SimError(what) {}
 };
 
-/// Admission rejected because the system is saturated (serve request queue
-/// full). Deliberately distinct from ConfigError: the request was valid, the
-/// service just cannot take it right now — callers may retry or downgrade.
-class OverloadError : public Error {
- public:
-  explicit OverloadError(const std::string& what) : Error("overload: " + what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,

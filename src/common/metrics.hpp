@@ -8,9 +8,9 @@
 //
 // Determinism: metrics carry no wall-clock timestamps — the serving
 // simulation stamps snapshots with fabric cycles — so two runs of the same
-// load produce byte-identical expositions. Counters and gauges are atomic
-// (live producers may push from any thread, cf. RequestQueue); histograms
-// take a small mutex on observe(). Registration order is exposition order.
+// load produce byte-identical expositions. Counters and gauges are atomic,
+// so any thread may update them; histograms take a small mutex on
+// observe(). Registration order is exposition order.
 #pragma once
 
 #include <atomic>

@@ -1,20 +1,18 @@
-// The serving engine: request queue -> dynamic batcher -> replica pool.
+// The serving engine: one node of replicas behind a bounded queue and a
+// dynamic batcher.
 //
 // Serving is simulated as a deterministic discrete-event timeline in fabric
 // cycles. The heavy cycle-level accelerator simulations are reduced to a
-// memoized service-time table (batch size -> cycles; exact because the
+// measured service-time table (batch size -> cycles; exact because the
 // design's timing is data-independent), so the timeline itself is pure
 // arithmetic: same load + same config => identical ServeStats on any
-// machine with any DFCNN_SWEEP_THREADS. Worker threads are used where they
-// cannot affect results: replaying batches for real logits, one replica
-// harness per worker.
-//
-// Event ordering within one cycle (fixed, hence deterministic):
-//   1. arrivals are admitted or shed (admission sees the queue before any
-//      dispatch in the same cycle, so a just-in-time arrival can still join
-//      a closing batch);
-//   2. batches close (size or timeout trigger) onto free replicas, lowest
-//      replica index first.
+// machine with any DFCNN_SWEEP_THREADS. plan_serving is the one-node case
+// of the fleet planner (cluster/fleet.hpp): no hops, so an arrival is
+// admitted or shed in its own cycle, before any dispatch in that cycle, and
+// a just-in-time arrival can still join a closing batch; batches close onto
+// free replicas, lowest replica index first. Worker threads are used only
+// where they cannot affect results: replaying batches for real logits, one
+// replica harness per worker.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
-// Tests for the serving subsystem: bounded queue admission (shed, never
-// block), dynamic batcher triggers (size and timeout), FIFO response
-// ordering, replica-pool determinism across thread counts, output
+// Tests for the serving subsystem: bounded admission (shed, never block),
+// dynamic batcher triggers (size and timeout), FIFO response ordering,
+// replica-pool determinism across thread counts, output
 // correctness against the single-image harness, the percentile helpers
 // against a sorted reference, and pinned report bytes of an overloaded plan,
 // a fault-mode plan and a plan whose whole pool dies.
@@ -11,7 +11,6 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "fault/fault_plan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/load_generator.hpp"
-#include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 
 namespace dfc::serve {
@@ -133,51 +131,6 @@ TEST(PercentileTest, SelectionMatchesSortedNearestRank) {
       ASSERT_EQ(percentile_nearest_rank(sample, q.pct), expected) << "n=" << n << " " << q.name;
     }
   }
-}
-
-// --- request queue -------------------------------------------------------------
-
-TEST(RequestQueueTest, FifoOrderAndOldestArrival) {
-  RequestQueue q(4);
-  q.push(make_request(0, 10));
-  q.push(make_request(1, 20));
-  q.push(make_request(2, 30));
-  EXPECT_EQ(q.oldest_arrival_cycle(), std::uint64_t{10});
-  EXPECT_EQ(q.try_pop()->id, 0u);
-  EXPECT_EQ(q.try_pop()->id, 1u);
-  EXPECT_EQ(q.oldest_arrival_cycle(), std::uint64_t{30});
-  EXPECT_EQ(q.try_pop()->id, 2u);
-  EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_FALSE(q.oldest_arrival_cycle().has_value());
-}
-
-TEST(RequestQueueTest, ShedsWhenFullAndNeverBlocks) {
-  RequestQueue q(2);
-  EXPECT_EQ(q.try_push(make_request(0, 0)), Admission::kAccepted);
-  EXPECT_EQ(q.try_push(make_request(1, 0)), Admission::kAccepted);
-  EXPECT_EQ(q.try_push(make_request(2, 0)), Admission::kShed);
-  EXPECT_EQ(q.shed_count(), 1u);
-  EXPECT_THROW(q.push(make_request(3, 0)), OverloadError);
-  EXPECT_EQ(q.shed_count(), 2u);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(RequestQueueTest, ConcurrentProducersAccountForEveryRequest) {
-  RequestQueue q(128);
-  constexpr std::size_t kProducers = 8;
-  constexpr std::size_t kPerProducer = 100;
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        q.try_push(make_request(p * kPerProducer + i, i));
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  // try_push never blocks: every request was either queued or shed.
-  EXPECT_EQ(q.size() + q.shed_count(), kProducers * kPerProducer);
-  EXPECT_EQ(q.size(), 128u);
 }
 
 // --- dynamic batcher -----------------------------------------------------------

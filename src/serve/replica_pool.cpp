@@ -8,12 +8,12 @@
 namespace dfc::serve {
 
 ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replicas,
-                         const dfc::core::BuildOptions& options)
+                         const dfc::core::BuildOptions& options, std::size_t boards)
     : spec_(spec) {
   DFC_REQUIRE(replicas > 0, "replica pool needs at least one replica");
   harnesses_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    harnesses_.push_back(cluster::build_replica(spec_, 1, {}, options));
+    harnesses_.push_back(cluster::build_replica(spec_, boards, {}, options));
   }
 }
 

@@ -26,10 +26,11 @@ namespace dfc::serve {
 
 class ReplicaPool {
  public:
-  /// Builds `replicas` accelerators from `spec`. Throws ConfigError on
-  /// replicas == 0 or an invalid spec.
+  /// Builds `replicas` accelerators from `spec`, each spanning `boards`
+  /// boards. Throws ConfigError on replicas == 0, boards == 0 or an invalid
+  /// spec.
   ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replicas,
-              const dfc::core::BuildOptions& options = {});
+              const dfc::core::BuildOptions& options = {}, std::size_t boards = 1);
 
   std::size_t size() const { return harnesses_.size(); }
   const dfc::core::NetworkSpec& spec() const { return spec_; }

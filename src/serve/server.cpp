@@ -135,8 +135,9 @@ ServeReport plan_serving(const std::vector<Request>& requests, const ServeConfig
   return report;
 }
 
-InferenceServer::InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config)
-    : config_(config), pool_(spec, config.replicas, config.build) {}
+InferenceServer::InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config,
+                                 std::size_t boards)
+    : config_(config), boards_(boards), pool_(spec, config.replicas, config.build, boards) {}
 
 ServeReport InferenceServer::run(const Load& load) {
   if (config_.metrics != nullptr) {
@@ -144,8 +145,8 @@ ServeReport InferenceServer::run(const Load& load) {
         .set(static_cast<double>(pool_.size()));
   }
   if (table_.empty()) {
-    table_ = cluster::measure_service_table(pool_.spec(), 1, config_.batcher.max_batch_size, {},
-                                            config_.build);
+    table_ = cluster::measure_service_table(pool_.spec(), boards_, config_.batcher.max_batch_size,
+                                            {}, config_.build);
   }
   ServeReport report = plan_serving(load.requests, config_, table_);
   report.stats.name = pool_.spec().name;

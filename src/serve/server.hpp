@@ -93,7 +93,10 @@ ServeReport plan_serving(const std::vector<Request>& requests, const ServeConfig
 /// Owns the replica pool and runs complete load scenarios against it.
 class InferenceServer {
  public:
-  InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config);
+  /// Each replica spans `boards` boards (cluster::build_replica). Throws
+  /// ConfigError on boards == 0, replicas == 0 or an invalid spec.
+  InferenceServer(const dfc::core::NetworkSpec& spec, const ServeConfig& config,
+                  std::size_t boards = 1);
 
   /// Prices batches of 1..max_batch once (cluster::measure_service_table),
   /// then plans; with config.compute_outputs also replays the plan on the
@@ -105,6 +108,7 @@ class InferenceServer {
 
  private:
   ServeConfig config_;
+  std::size_t boards_;
   ReplicaPool pool_;
   std::vector<std::uint64_t> table_;  ///< measured on the first run
 };

@@ -84,7 +84,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/service_table.hpp"
 #include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "core/block_design.hpp"
@@ -317,19 +316,11 @@ int cmd_serve(const core::NetworkSpec& spec, std::size_t requests, double rate_r
   obs::TraceSink span_sink;
   if (!trace_path.empty()) config.trace = &span_sink;
 
-  const serve::Load load = serve::generate_load(spec, load_spec);
-  serve::ServeReport report;
-  if (boards > 1) {
-    // Multi-board replicas: service times measured on the partitioned
-    // interlink engine, so link bandwidth/latency lands in the plan.
-    const auto table = cluster::measure_service_table(
-        spec, boards, config.batcher.max_batch_size, {}, config.build);
-    report = serve::plan_serving(load.requests, config, table);
-    report.stats.name = spec.name;
-  } else {
-    serve::InferenceServer server(spec, config);
-    report = server.run(load);
-  }
+  // One path for any board count: each replica spans `boards` boards, and
+  // its service times are measured on that partition, so link
+  // bandwidth/latency lands in the plan.
+  serve::InferenceServer server(spec, config, boards);
+  const serve::ServeReport report = server.run(serve::generate_load(spec, load_spec));
 
   if (!trace_path.empty()) {
     write_trace_file(span_sink, trace_path);

@@ -9,21 +9,14 @@
 // multi-board src/multifpga pipeline, reduced to a measured service-time
 // table (service_table.hpp) exactly like src/serve reduces its replicas.
 //
-// The timeline is planned by plan_cluster — pure, single-threaded
-// arithmetic over those tables, same load + config => byte-identical
-// ClusterReport on any machine with any DFCNN_SWEEP_THREADS. Event ordering
-// within one cycle is fixed (hence deterministic):
-//   1. batch completions (responses take the egress hop; draining replicas
-//      retire);
-//   2. autoscaler evaluations, node index order;
-//   3. front-end arrivals: admitted requests are routed (policy) and put on
-//      the node's ingress hop;
-//   4. ingress deliveries: admission control runs where the queue lives —
-//      shed on queue overflow, then on a predicted SLO miss (deadline
-//      class), cheapest-to-serve classes shed first under overload because
-//      their deadlines bust first;
-//   5. batch dispatch onto free active replicas, lowest node-local replica
-//      index first (serve's rule).
+// The timeline is planned by plan_cluster on the one planner loop
+// (fleet.hpp), which plan_serving runs with one node and no hops: pure,
+// single-threaded arithmetic over those tables, same load + config =>
+// byte-identical ClusterReport on any machine with any DFCNN_SWEEP_THREADS.
+// fleet.hpp lists the fixed event order within a cycle. Admission control
+// runs where the queue lives, at ingress delivery: shed on queue overflow,
+// then on a predicted SLO miss (deadline class), so under overload the
+// tightest classes shed first because their deadlines bust first.
 // Ingress/egress latency >= 1 guarantees a delivery never lands in the
 // cycle it was sent, the same argument that makes the lockstep multi-board
 // executor order-independent (DESIGN.md §11).
@@ -156,9 +149,8 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
 class Cluster {
  public:
   /// Measures one service table per distinct NodeConfig::boards value
-  /// (single-device via ReplicaPool, multi-board via a lockstep
-  /// MultiFpgaHarness — satellite of ISSUE 10: interlink timing lands in
-  /// the planner's service times).
+  /// (measure_service_table: interlink timing lands in the planner's
+  /// service times).
   Cluster(const dfc::core::NetworkSpec& spec, const ClusterConfig& config);
 
   /// Assigns classes, plans the timeline and fills the scenario labels.

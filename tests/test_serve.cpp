@@ -843,6 +843,38 @@ TEST(InferenceServerTest, LightLoadProducesSizeOneBatches) {
   EXPECT_EQ(report.stats.mean_batch_size, 1.0);
 }
 
+TEST(InferenceServerTest, MultiBoardReplicasReplayTheirPlan) {
+  // Every board count takes one path: a 2-board pool plans with the 2-board
+  // table and replays on 2-board harnesses (execute() checks each batch's
+  // cycles against the plan), producing the single-device logits.
+  const core::NetworkSpec spec = usps_spec();
+  ServeConfig config;
+  config.replicas = 2;
+  config.batcher.max_batch_size = 4;
+  config.batcher.max_wait_cycles = 1000;
+  config.compute_outputs = true;
+  LoadSpec ls;
+  ls.rate_images_per_second = 300000.0;
+  ls.request_count = 24;
+  ls.distinct_images = 3;
+  const Load load = generate_load(spec, ls);
+
+  InferenceServer server(spec, config, 2);
+  const ServeReport report = server.run(load);
+  const std::vector<std::uint64_t> table = cluster::measure_service_table(spec, 2, 4);
+  for (const BatchRecord& b : report.batch_records) {
+    EXPECT_EQ(b.service_cycles(), table[b.size() - 1]);
+  }
+  core::AcceleratorHarness reference(core::build_accelerator(spec));
+  std::vector<std::vector<float>> per_image;
+  for (const Tensor& img : load.images) per_image.push_back(reference.run_image(img));
+  for (const Request& r : load.requests) {
+    ASSERT_FALSE(report.outcomes[r.id].shed);
+    EXPECT_EQ(report.logits[r.id], per_image[r.image_index]) << "request " << r.id;
+  }
+  EXPECT_THROW(InferenceServer(spec, config, 0), ConfigError);
+}
+
 // --- p99.9 --------------------------------------------------------------------
 
 TEST(PercentileTest, P999DegeneratesToMaxOnSmallSamples) {

@@ -793,6 +793,8 @@ FleetRun<Outcome> plan_fleet(const std::vector<Request>& requests,
                              const std::vector<NodeMetrics>& metrics,
                              const dfc::serve::ServeConfig* serve) {
   DFC_REQUIRE(metrics.size() == fleet.nodes.size(), "one metrics set per node");
+  DFC_REQUIRE((serve != nullptr) == (std::is_same_v<Outcome, RequestOutcome>),
+              "serve options go with serve's outcome records");
   return FleetLoop<Outcome>(requests, class_of, fleet, tables, metrics, serve).run();
 }
 

@@ -65,7 +65,7 @@ struct Node {
   std::vector<std::size_t> live;
   std::set<std::pair<std::uint64_t, std::uint64_t>> retries;  ///< (ready cycle, id)
   std::set<std::pair<std::size_t, std::size_t>> corrupt;      ///< (replica, nth batch)
-  std::size_t inflight = 0;
+  std::size_t inflight = 0;  ///< routed requests on the wire or in service
 
   std::uint64_t next_eval = kNever;
   std::uint64_t last_action = 0;

@@ -2,7 +2,8 @@
 // determinism (across runs and DFCNN_SWEEP_THREADS settings), stall
 // attribution invariants (every core's buckets sum to the observed cycle
 // count), per-FIFO empty-stall accounting and reset semantics, the metrics
-// registry, and the serve-side metrics wiring.
+// registry, the serve-side metrics wiring, and pins of every observation
+// output (trace JSON, attribution table, pressure DOT, profile JSON).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,11 +14,14 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "core/block_design.hpp"
 #include "core/builder.hpp"
 #include "core/harness.hpp"
 #include "core/presets.hpp"
 #include "dataflow/fifo.hpp"
 #include "dataflow/sim_context.hpp"
+#include "multifpga/exec.hpp"
+#include "multifpga/partition.hpp"
 #include "obs/activity.hpp"
 #include "obs/analyze.hpp"
 #include "obs/perfetto.hpp"
@@ -580,6 +584,111 @@ TEST(ProfileTest, ReportIsByteIdenticalAcrossThreadSettings) {
     }
   }
   EXPECT_NE(first.find("\"links\""), std::string::npos);
+}
+
+// --- observation pins ----------------------------------------------------------
+//
+// FNV-1a 64 pins of what observing a design writes, computed while one board
+// and several boards were still observed by separate code: the Perfetto JSON
+// of `dfcnn trace <d> <batch> [--devices 2]`, the one-board per-core
+// attribution table (`dfcnn trace usps 4`'s stdout, X3's CIFAR table), the
+// FIFO-pressure DOT of `dfcnn dot <d> 8` (the committed usps-tc1.dot and
+// cifar-tc2.dot) and `dfcnn profile`'s JSON.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// `dfcnn trace`'s Perfetto JSON: one board, or the exact cut over `devices`
+// boards on a 3.2 Gbps link.
+std::string traced_json(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices) {
+  const auto images = report::random_images(spec, batch);
+  obs::TraceSink merged;
+  if (devices == 1) {
+    AcceleratorHarness harness(build_accelerator(spec));
+    harness.accelerator().ctx->attach_trace(&merged);
+    harness.run_batch(images);
+    return obs::perfetto_trace_json(merged);
+  }
+  const core::LinkModel link{40, 1};
+  core::BuildOptions opts;
+  opts.link = link;
+  mfpga::MultiFpgaHarness harness(mfpga::build_multi_fpga(
+      spec, mfpga::partition_network_exact(spec, devices, link).layer_device, opts));
+  std::vector<obs::TraceSink> sinks(harness.device_count());
+  std::vector<obs::TraceSink*> sink_ptrs;
+  for (auto& s : sinks) sink_ptrs.push_back(&s);
+  obs::TraceSink link_sink;
+  harness.attach_traces(sink_ptrs);
+  harness.attach_link_trace(&link_sink);
+  EXPECT_TRUE(harness.run_batch(images).ok());
+  std::vector<const obs::TraceSink*> all;
+  for (const auto& s : sinks) all.push_back(&s);
+  all.push_back(&link_sink);
+  mfpga::merge_traces(all, merged);
+  return obs::perfetto_trace_json(merged);
+}
+
+std::string attribution_table(const core::NetworkSpec& spec, std::size_t batch) {
+  AcceleratorHarness harness(build_accelerator(spec));
+  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.run_batch(report::random_images(spec, batch));
+  return report::format_stall_attribution(harness.accelerator());
+}
+
+std::string pressure_dot(const core::NetworkSpec& spec) {
+  AcceleratorHarness harness(build_accelerator(spec));
+  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.run_batch(report::random_images(spec, 8));
+  return core::block_design_dot(spec, harness.accelerator());
+}
+
+TEST(ObservationPinTest, TraceJsonMatchesPinnedHashes) {
+  const std::string usps1 = traced_json(make_usps_spec(), 4, 1);
+  EXPECT_EQ(fnv1a(usps1), 0x55f8260ad4cd0f60ULL) << std::hex << "0x" << fnv1a(usps1);
+  const std::string usps2 = traced_json(make_usps_spec(), 4, 2);
+  EXPECT_EQ(fnv1a(usps2), 0x71b8942e38661921ULL) << std::hex << "0x" << fnv1a(usps2);
+  const std::string cifar1 = traced_json(core::make_cifar_spec(), 2, 1);
+  EXPECT_EQ(fnv1a(cifar1), 0x200de53f07693dc1ULL) << std::hex << "0x" << fnv1a(cifar1);
+}
+
+TEST(ObservationPinTest, AttributionTablesMatchPinnedHashes) {
+  const std::string usps = attribution_table(make_usps_spec(), 4);
+  EXPECT_EQ(fnv1a(usps), 0xa985d2fb6bc31e2dULL) << std::hex << "0x" << fnv1a(usps);
+  const std::string cifar = attribution_table(core::make_cifar_spec(), 16);
+  EXPECT_EQ(fnv1a(cifar), 0x2652a97d16c39bf2ULL) << std::hex << "0x" << fnv1a(cifar);
+}
+
+TEST(ObservationPinTest, PressureDotMatchesPinnedHashes) {
+  const std::string usps = pressure_dot(make_usps_spec());
+  EXPECT_EQ(fnv1a(usps), 0x5bfec389e6e6498aULL) << std::hex << "0x" << fnv1a(usps);
+  const std::string cifar = pressure_dot(core::make_cifar_spec());
+  EXPECT_EQ(fnv1a(cifar), 0xe8e1a899e574a4dcULL) << std::hex << "0x" << fnv1a(cifar);
+}
+
+TEST(ObservationPinTest, ProfileJsonMatchesPinnedHashes) {
+  struct Pin {
+    core::NetworkSpec spec;
+    std::size_t devices;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {make_usps_spec(), 1, 0x962d0941a4be6277ULL},
+      {make_usps_spec(), 2, 0xc048edccc6058f15ULL},
+      {core::make_alexnet_mini_spec(), 4, 0x1079c95473fa9d88ULL},
+  };
+  for (const Pin& pin : pins) {
+    report::ProfileOptions options;
+    options.devices = pin.devices;
+    const std::string json = report::profile_design(pin.spec, options).to_json();
+    EXPECT_EQ(fnv1a(json), pin.hash)
+        << pin.spec.name << " on " << pin.devices << std::hex << ": 0x" << fnv1a(json);
+  }
 }
 
 }  // namespace

@@ -534,6 +534,7 @@ int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double lin
 
 int cmd_check(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,
               int credits, bool json, const std::string& device_name) {
+  DFC_REQUIRE(devices >= 1, "--devices must be at least 1");
   DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
   const int cycles_per_word = std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
   const core::LinkModel link{40, cycles_per_word};
@@ -600,6 +601,7 @@ int main(int argc, char** argv) {
           batch = std::stoul(argv[i]);
         }
       }
+      DFC_REQUIRE(devices >= 1, "--devices must be at least 1");
       if (devices > 1) {
         return cmd_trace_multi(load_design(design), batch, devices, link_gbps, out_path);
       }

@@ -1,10 +1,20 @@
 #include "core/interlink.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace dfc::core {
 
 using dfc::axis::Flit;
+
+LinkModel link_model_for_gbps(double gbps) {
+  DFC_REQUIRE(gbps > 0.0, "the link rate must be a positive number of Gbps");
+  const double cycles_per_word = 3.2 / gbps + 0.5;
+  // Casting to int is defined only below 2^31.
+  DFC_REQUIRE(cycles_per_word < static_cast<double>(std::numeric_limits<int>::max()) + 1.0,
+              "the link rate is too slow: a word would take more than INT_MAX cycles");
+  return LinkModel{40, std::max(1, static_cast<int>(cycles_per_word))};
+}
 
 InterLinkWire::InterLinkWire(std::string name, InterLinkModel model)
     : name_(std::move(name)), model_(model) {

@@ -64,6 +64,12 @@ struct LinkModel {
   }
 };
 
+/// The link of a `gbps` line rate: one 32-bit word per 100 MHz fabric cycle
+/// is 3.2 Gbps, so a slower line serializes each word over round(3.2 / gbps)
+/// cycles (at least one), behind a 40-cycle traversal. Throws ConfigError
+/// unless gbps > 0 (NaN is rejected) and the cycles per word fit an int.
+LinkModel link_model_for_gbps(double gbps);
+
 /// LinkModel timing plus the credit window of the flow-control protocol.
 struct InterLinkModel {
   LinkModel link{};

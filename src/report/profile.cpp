@@ -87,7 +87,6 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
                                      const ProfileOptions& options) {
   DFC_REQUIRE(options.batch > 0, "profile needs a positive batch");
   DFC_REQUIRE(options.devices >= 1, "profile needs at least one device");
-  DFC_REQUIRE(options.link_gbps > 0.0, "link_gbps must be positive");
 
   const dfc::dse::TimingEstimate est = dfc::dse::estimate_timing(spec);
   const std::vector<Tensor> images = random_images(spec, options.batch);
@@ -99,9 +98,9 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
 
   // One path for any board count: every board under stall accounting, every
   // link attributed. One board keeps build_accelerator's unprefixed names.
-  const int cycles_per_word = std::max(1, static_cast<int>(3.2 / options.link_gbps + 0.5));
   dfc::core::BuildOptions build = options.build;
-  build.link = dfc::core::LinkModel{40, cycles_per_word};
+  build.link = dfc::core::link_model_for_gbps(options.link_gbps);
+  const int cycles_per_word = build.link.cycles_per_word;
   std::vector<std::size_t> cut;
   if (options.devices > 1) {
     cut = dfc::mfpga::partition_network_exact(spec, options.devices, build.link,

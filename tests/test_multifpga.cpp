@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,6 +163,24 @@ TEST(InterLinkTest, ModelValidatesAndSizesAutoCredits) {
   EXPECT_EQ(fixed.effective_credits(), 3);
   EXPECT_THROW((InterLinkModel{LinkModel{0, 1}, 0}).validate(), ConfigError);
   EXPECT_THROW((InterLinkModel{LinkModel{1, 1}, -1}).validate(), ConfigError);
+}
+
+TEST(InterLinkTest, LinkModelForGbpsRoundsAndRejectsUnrepresentableRates) {
+  const auto expect_link = [](double gbps, int cycles_per_word) {
+    const LinkModel link = dfc::core::link_model_for_gbps(gbps);
+    EXPECT_EQ(link.latency_cycles, 40) << gbps;
+    EXPECT_EQ(link.cycles_per_word, cycles_per_word) << gbps;
+  };
+  expect_link(3.2, 1);
+  expect_link(0.4, 8);
+  expect_link(100.0, 1);  // faster than the fabric: still one word per cycle
+  const int max = std::numeric_limits<int>::max();
+  expect_link(3.2 / max, max);
+  EXPECT_THROW(dfc::core::link_model_for_gbps(3.2 / (max + 1.0)), ConfigError);
+  EXPECT_THROW(dfc::core::link_model_for_gbps(1e-9), ConfigError);
+  EXPECT_THROW(dfc::core::link_model_for_gbps(0.0), ConfigError);
+  EXPECT_THROW(dfc::core::link_model_for_gbps(-3.2), ConfigError);
+  EXPECT_THROW(dfc::core::link_model_for_gbps(std::nan("")), ConfigError);
 }
 
 TEST(UsagePerDeviceTest, SplitsAndAddsBasePerDevice) {

@@ -236,9 +236,7 @@ int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, const std::strin
 
 int cmd_trace_multi(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices,
                     double link_gbps, const std::string& out_path) {
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  const int cycles_per_word = std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = core::link_model_for_gbps(link_gbps);
   const auto plan = mfpga::partition_network_exact(spec, devices, link);
   core::BuildOptions opts;
   opts.link = link;
@@ -479,12 +477,7 @@ int cmd_partition(const core::NetworkSpec& spec, std::size_t boards,
 
 int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,
                   std::size_t batch) {
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  // One 32-bit word per cycle at the paper's 100 MHz clock is 3.2 Gbps; a
-  // slower link serializes each word over proportionally more cycles.
-  const int cycles_per_word =
-      std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = core::link_model_for_gbps(link_gbps);
 
   const auto plan = mfpga::partition_network_exact(spec, devices, link);
   std::printf("%s", plan.describe(spec).c_str());
@@ -535,9 +528,7 @@ int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double lin
 int cmd_check(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,
               int credits, bool json, const std::string& device_name) {
   DFC_REQUIRE(devices >= 1, "--devices must be at least 1");
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  const int cycles_per_word = std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = core::link_model_for_gbps(link_gbps);
 
   verify::VerifyOptions vopts;
   vopts.device = load_device(device_name);

@@ -18,6 +18,7 @@
 #include "core/harness.hpp"
 #include "core/presets.hpp"
 #include "report/experiments.hpp"
+#include "report/profile.hpp"
 
 namespace {
 
@@ -46,10 +47,11 @@ void profile(const dfc::core::NetworkSpec& spec, std::size_t batch) {
 
   // Stall attribution needs cycle-exact observation, which forces the naive
   // scheduler — hence a separate (slower) run of the same batch.
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(images);
-  std::printf("%s\n", report::format_stall_attribution(harness.accelerator()).c_str());
-  harness.accelerator().ctx->set_stall_accounting(false);
+  std::printf("%s\n",
+              report::format_core_activity(report::read_observation(harness.accelerator()))
+                  .c_str());
 }
 
 }  // namespace

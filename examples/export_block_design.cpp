@@ -35,11 +35,11 @@ void report(const dfc::core::NetworkSpec& spec) {
               timing.images_per_second(),
               power.estimate_watts(hw::estimate_design(spec).total));
 
-  // Simulate a short batch with stall accounting on, so the exported graph
-  // colours each stage boundary by its observed pressure (back-pressure vs
+  // Simulate a short batch under observation, so the exported graph colours
+  // each stage boundary by its observed pressure (back-pressure vs
   // starvation) instead of showing bare topology.
   core::AcceleratorHarness harness(core::build_accelerator(spec));
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(report::random_images(spec, 8));
 
   const std::string dot_path = spec.name + ".dot";

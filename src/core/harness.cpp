@@ -129,6 +129,10 @@ BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cy
     r.status = RunStatus::kDeadlock;
     r.error = e.what();
   }
+  for (std::size_t b = 0; b < board_traces_.size(); ++b) {
+    trace_->append(board_traces_[b], board_trace_bases_[b]);
+    board_traces_[b].clear_events();
+  }
 
   r.inject_cycles = d.source->inject_cycles();
   r.completion_cycles = d.sink->completion_cycles();
@@ -268,30 +272,24 @@ std::string Harness::fifo_report() const {
   return report;
 }
 
-void Harness::attach_traces(const std::vector<obs::TraceSink*>& sinks) {
-  DFC_REQUIRE(sinks.size() == contexts_.size(), "attach_traces needs exactly one sink per board");
-  for (std::size_t b = 0; b < sinks.size(); ++b) contexts_[b]->attach_trace(sinks[b]);
-}
-
-void Harness::detach_traces() {
-  for (dfc::df::SimContext* ctx : contexts_) ctx->attach_trace(nullptr);
-}
-
-void Harness::attach_link_trace(obs::TraceSink* sink) {
-  DFC_REQUIRE(sink != nullptr, "attach_link_trace needs a sink (detach_link_trace to stop)");
-  DFC_REQUIRE(link_trace_ == nullptr, "a link trace sink is already attached");
-  link_trace_ = sink;
-  link_ids_.clear();
-  link_ids_.reserve(design_->wires.size());
-  for (const auto& w : design_->wires) {
-    link_ids_.push_back(sink->register_entity(w->name(), obs::EntityKind::kLink));
-  }
+void Harness::observe(obs::TraceSink* trace) {
+  for (dfc::df::SimContext* ctx : contexts_) ctx->set_stall_accounting(true);
   link_attr_ = true;
-}
-
-void Harness::detach_link_trace() {
-  link_trace_ = nullptr;
-  link_ids_.clear();
+  if (trace == nullptr) return;
+  DFC_REQUIRE(trace_ == nullptr, "observe: a trace sink is already attached");
+  DFC_REQUIRE(trace->entities().empty(), "observe requires a fresh TraceSink");
+  trace_ = trace;
+  board_traces_.assign(contexts_.size(), obs::TraceSink(trace->capacity()));
+  for (std::size_t b = 0; b < contexts_.size(); ++b) {
+    contexts_[b]->attach_trace(&board_traces_[b]);
+    board_trace_bases_.push_back(static_cast<std::uint32_t>(trace->entities().size()));
+    for (const obs::TraceEntity& e : board_traces_[b].entities()) {
+      trace->register_entity(e.name, e.kind, e.capacity);
+    }
+  }
+  for (const auto& w : design_->wires) {
+    link_ids_.push_back(trace->register_entity(w->name(), obs::EntityKind::kLink));
+  }
 }
 
 void Harness::classify_links(std::uint64_t now) {
@@ -313,9 +311,9 @@ void Harness::classify_links(std::uint64_t now) {
       s = obs::LinkState::kWireBusy;
     }
     const std::uint32_t id = link_ids_.empty() ? 0 : link_ids_[i];
-    trackers_[i].tick(s, now, link_trace_, id);
-    trackers_[i].credits(static_cast<std::uint32_t>(credits < 0 ? 0 : credits), now,
-                         link_trace_, id);
+    trackers_[i].tick(s, now, trace_, id);
+    trackers_[i].credits(static_cast<std::uint32_t>(credits < 0 ? 0 : credits), now, trace_,
+                         id);
   }
   ++link_cycles_;
 }

@@ -102,9 +102,9 @@ struct BatchResult {
 /// The one harness (DESIGN.md §11): drives a DesignInstance of any board
 /// count through run_lockstep() — a single board is one context in the
 /// lockstep — and owns everything between runs: reset of every context,
-/// FIFO statistic, DMA bus and wire; batch and sequential modes; traces,
-/// link attribution and integrity guards; and the compiled path with the
-/// guards that force the cycle engine. AcceleratorHarness and
+/// FIFO statistic, DMA bus and wire; batch and sequential modes;
+/// observation (observe()) and integrity guards; and the compiled path with
+/// the guards that force the cycle engine. AcceleratorHarness and
 /// mfpga::MultiFpgaHarness only name the design type.
 class Harness {
  public:
@@ -156,26 +156,24 @@ class Harness {
   /// Per-board FIFO occupancy/stall report plus the board crossings.
   std::string fifo_report() const;
 
-  /// Attaches one fresh TraceSink per board (sinks.size() must equal
-  /// device_count()). Pass fresh sinks again after detach_traces() to
-  /// re-trace.
-  void attach_traces(const std::vector<obs::TraceSink*>& sinks);
-  void detach_traces();
+  /// Arms observation on every board of the design: stall accounting on
+  /// every context (per-core activity splits, empty-stall counts) and link
+  /// attribution on every wire. Given a sink, which must be fresh and outlive
+  /// every later run, the harness also traces: the sink gets every board's
+  /// FIFOs and processes in board order, then one kLink entity per wire, and
+  /// after each run that run's events of every board and link, each entity's
+  /// in cycle order. Observation stays armed for the harness's lifetime.
+  void observe(obs::TraceSink* trace = nullptr);
 
   /// Per-link cycle attribution: classifies every global cycle of the next
   /// run into credit_stall / wire_busy / rx_backpressure / idle per wire
   /// (see obs::LinkState). Classification reads start-of-cycle state —
   /// lockstep-stable, so the splits are byte-identical across thread counts
   /// — and the buckets sum exactly to link_observed_cycles(). While enabled,
-  /// fast-forward is off so no cycle escapes classification.
-  void set_link_attribution(bool on) { link_attr_ = on || link_trace_ != nullptr; }
+  /// fast-forward is off so no cycle escapes classification. A traced
+  /// harness keeps it on: its link events come from the classification.
+  void set_link_attribution(bool on) { link_attr_ = on || trace_ != nullptr; }
   bool link_attribution() const { return link_attr_; }
-
-  /// Attaches a sink for kLinkState/kLinkCredits events (one kLink entity
-  /// per wire, registered on attach); implies link attribution. The sink may
-  /// be merged with per-board sinks via mfpga::merge_traces.
-  void attach_link_trace(obs::TraceSink* sink);
-  void detach_link_trace();
 
   /// Attribution results for wire `i` (parallel to the design's wires),
   /// accumulated over the cycles of the last run.
@@ -203,8 +201,13 @@ class Harness {
   std::uint64_t idle_limit_ = 0;
 
   bool link_attr_ = false;
-  obs::TraceSink* link_trace_ = nullptr;
-  std::vector<std::uint32_t> link_ids_;     ///< entity ids in link_trace_
+  obs::TraceSink* trace_ = nullptr;  ///< observe()'s sink, or null
+  /// Per board: the sink its context records into (the context primitive
+  /// takes only a fresh sink), appended to trace_ after each run at the
+  /// board's first entity id there.
+  std::vector<obs::TraceSink> board_traces_;
+  std::vector<std::uint32_t> board_trace_bases_;
+  std::vector<std::uint32_t> link_ids_;     ///< entity ids in trace_
   std::vector<obs::LinkTracker> trackers_;  ///< parallel to the wires
   std::uint64_t link_cycles_ = 0;
 

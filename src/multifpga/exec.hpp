@@ -26,7 +26,6 @@
 
 #include "core/builder.hpp"
 #include "core/harness.hpp"
-#include "obs/trace.hpp"
 
 namespace dfc::mfpga {
 
@@ -40,8 +39,8 @@ struct MultiFpgaAccelerator : dfc::core::DesignInstance {};
 /// migrate backwards). `options.link` is the serial-link timing model;
 /// `link_credits` the Tx credit window (0 = auto, see InterLinkModel).
 /// Every FIFO/process name is prefixed with "fpga<d>." where d is the
-/// owning device's index, so per-device traces and fault targets stay
-/// unambiguous when merged.
+/// owning device's index, so trace entities and fault targets of different
+/// boards stay unambiguous in one view.
 MultiFpgaAccelerator build_multi_fpga(const dfc::core::NetworkSpec& spec,
                                       const std::vector<std::size_t>& layer_device,
                                       const dfc::core::BuildOptions& options = {},
@@ -54,12 +53,5 @@ class MultiFpgaHarness final : public dfc::core::Harness {
       : Harness(std::make_unique<MultiFpgaAccelerator>(std::move(acc))) {}
   MultiFpgaAccelerator& accelerator() { return static_cast<MultiFpgaAccelerator&>(design()); }
 };
-
-/// Merges per-device trace sinks (recorded in lockstep, so cycle stamps are
-/// directly comparable) into `out`: entities are re-registered in device
-/// order and events appended with remapped ids. The Perfetto exporter
-/// indexes events per entity, so per-sink concatenation order is exactly as
-/// valid as single-context record order.
-void merge_traces(const std::vector<const obs::TraceSink*>& sinks, obs::TraceSink& out);
 
 }  // namespace dfc::mfpga

@@ -126,6 +126,15 @@ class TraceSink {
     events_.push_back(TraceEvent{cycle, entity, kind, value});
   }
 
+  /// Appends `from`'s events as if recorded here, entity ids shifted by
+  /// `entity_base`, and counts the events `from` itself dropped.
+  void append(const TraceSink& from, std::uint32_t entity_base) {
+    for (const TraceEvent& ev : from.events_) {
+      record(ev.entity + entity_base, ev.kind, ev.cycle, ev.value);
+    }
+    dropped_ += from.dropped_;
+  }
+
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<TraceEntity>& entities() const { return entities_; }
   const TraceEntity& entity(std::uint32_t id) const { return entities_.at(id); }

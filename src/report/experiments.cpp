@@ -174,29 +174,4 @@ SteadyProfile pipeline_profile_steady(dfc::core::AcceleratorHarness& harness,
   return p;
 }
 
-std::vector<StageAttribution> stall_attribution(const dfc::core::Accelerator& acc) {
-  std::vector<StageAttribution> rows;
-  for (const auto* core : acc.conv_cores) rows.push_back({core->name(), core->activity()});
-  for (const auto* core : acc.pool_cores) rows.push_back({core->name(), core->activity()});
-  for (const auto* core : acc.fcn_cores) rows.push_back({core->name(), core->activity()});
-  std::sort(rows.begin(), rows.end(),
-            [](const StageAttribution& a, const StageAttribution& b) { return a.name < b.name; });
-  return rows;
-}
-
-std::string format_stall_attribution(const dfc::core::Accelerator& acc) {
-  const auto rows = stall_attribution(acc);
-  AsciiTable t({"core", "cycles", "working", "starved", "back-pressured", "idle"});
-  for (const auto& row : rows) {
-    const std::uint64_t total = row.activity.total();
-    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    t.add_row({row.name, std::to_string(total),
-               fmt_percent(static_cast<double>(row.activity.working) / denom, 1),
-               fmt_percent(static_cast<double>(row.activity.starved) / denom, 1),
-               fmt_percent(static_cast<double>(row.activity.back_pressured) / denom, 1),
-               fmt_percent(static_cast<double>(row.activity.idle) / denom, 1)});
-  }
-  return t.render();
-}
-
 }  // namespace dfc::report

@@ -15,7 +15,6 @@
 #include "core/network_spec.hpp"
 #include "hwmodel/cost_model.hpp"
 #include "hwmodel/power.hpp"
-#include "obs/activity.hpp"
 
 namespace dfc::report {
 
@@ -100,21 +99,5 @@ struct SteadyProfile {
 SteadyProfile pipeline_profile_steady(
     dfc::core::AcceleratorHarness& harness, const std::vector<Tensor>& images,
     std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
-
-/// One row of the stall-attribution report: a core's observed cycles split
-/// into working / starved / back-pressured / idle (see obs/activity.hpp).
-/// Valid after a run with observation enabled on the accelerator's context
-/// (set_stall_accounting(true) or an attached TraceSink); each row's buckets
-/// then sum exactly to SimContext::observed_cycles().
-struct StageAttribution {
-  std::string name;
-  dfc::obs::CoreActivity activity;
-};
-std::vector<StageAttribution> stall_attribution(const dfc::core::Accelerator& acc);
-
-/// ASCII table of stall_attribution() with per-bucket percentages — the
-/// attribution upgrade of the utilization-only profile: a starved core points
-/// the finger upstream, a back-pressured one downstream.
-std::string format_stall_attribution(const dfc::core::Accelerator& acc);
 
 }  // namespace dfc::report

@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/table.hpp"
 #include "core/harness.hpp"
 #include "dse/throughput_model.hpp"
-#include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
 #include "report/experiments.hpp"
 
@@ -31,24 +31,21 @@ const dfc::obs::CoreActivity& core_activity(dfc::core::NodeKind kind,
 // after "dma-in") is every compute core of layer i. A pool layer fans out to
 // several parallel cores; the slowest (most working cycles) one represents
 // the stage — parallel units split the work, so the busiest port is the
-// stage's real pace-setter. contexts[d] is device d's context.
-std::vector<dfc::obs::StageSample> build_stage_samples(
-    const dfc::dse::TimingEstimate& est, const dfc::core::DesignInstance& design,
-    const std::vector<const dfc::df::SimContext*>& contexts) {
+// stage's real pace-setter.
+std::vector<dfc::obs::StageSample> build_stage_samples(const dfc::dse::TimingEstimate& est,
+                                                       const std::vector<CoreSample>& cores) {
   std::vector<dfc::obs::StageSample> stages;
   stages.reserve(est.stages.size());
   for (std::size_t s = 0; s < est.stages.size(); ++s) {
     dfc::obs::StageSample sample;
     sample.name = est.stages[s].name;
     sample.predicted_cycles = est.stages[s].cycles_per_image;
-    for (std::size_t n = 0; n < design.graph.nodes.size(); ++n) {
-      const dfc::core::GraphNode& node = design.graph.nodes[n];
-      if (!dfc::core::is_compute_core(node.kind) || node.layer + 1 != s) continue;
-      const dfc::obs::CoreActivity& activity = core_activity(node.kind, *design.processes[n]);
-      if (!sample.has_activity || activity.working > sample.activity.working) {
+    for (const CoreSample& core : cores) {
+      if (core.layer + 1 != s) continue;
+      if (!sample.has_activity || core.activity.working > sample.activity.working) {
         sample.has_activity = true;
-        sample.activity = activity;
-        sample.observed_cycles = contexts[node.device]->observed_cycles();
+        sample.activity = core.activity;
+        sample.observed_cycles = core.activity.total();
       }
     }
     stages.push_back(std::move(sample));
@@ -58,10 +55,9 @@ std::vector<dfc::obs::StageSample> build_stage_samples(
 
 // FIFO pressure evidence: the most-stalled channels, capped so the report
 // stays readable. Deterministic order (stall total desc, then name).
-std::vector<dfc::obs::FifoSample> build_fifo_samples(
-    const std::vector<const dfc::df::SimContext*>& contexts) {
+std::vector<dfc::obs::FifoSample> build_fifo_samples(const dfc::core::DesignInstance& design) {
   std::vector<dfc::obs::FifoSample> fifos;
-  for (const dfc::df::SimContext* ctx : contexts) {
+  for (const auto& ctx : design.contexts) {
     for (std::size_t i = 0; i < ctx->fifo_count(); ++i) {
       const dfc::df::FifoBase& f = ctx->fifo(i);
       const auto& st = f.lifetime_stats();
@@ -83,10 +79,52 @@ std::vector<dfc::obs::FifoSample> build_fifo_samples(
 
 }  // namespace
 
+DesignObservation read_observation(const dfc::core::DesignInstance& design) {
+  DesignObservation observation;
+  for (std::size_t n = 0; n < design.graph.nodes.size(); ++n) {
+    const dfc::core::GraphNode& node = design.graph.nodes[n];
+    if (!dfc::core::is_compute_core(node.kind)) continue;
+    const dfc::df::Process& core = *design.processes[n];
+    observation.cores.push_back({core.name(), node.layer, core_activity(node.kind, core)});
+  }
+  observation.fifos = build_fifo_samples(design);
+  return observation;
+}
+
+std::string format_core_activity(const DesignObservation& observation) {
+  std::vector<const CoreSample*> rows;
+  for (const CoreSample& core : observation.cores) rows.push_back(&core);
+  std::sort(rows.begin(), rows.end(),
+            [](const CoreSample* a, const CoreSample* b) { return a->name < b->name; });
+  AsciiTable t({"core", "cycles", "working", "starved", "back-pressured", "idle"});
+  for (const CoreSample* row : rows) {
+    const std::uint64_t total = row->activity.total();
+    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
+    t.add_row({row->name, std::to_string(total),
+               fmt_percent(static_cast<double>(row->activity.working) / denom, 1),
+               fmt_percent(static_cast<double>(row->activity.starved) / denom, 1),
+               fmt_percent(static_cast<double>(row->activity.back_pressured) / denom, 1),
+               fmt_percent(static_cast<double>(row->activity.idle) / denom, 1)});
+  }
+  return t.render();
+}
+
+dfc::mfpga::MultiFpgaAccelerator build_observed_design(const dfc::core::NetworkSpec& spec,
+                                                       std::size_t devices,
+                                                       const dfc::core::BuildOptions& options,
+                                                       int link_credits) {
+  DFC_REQUIRE(devices >= 1, "a design needs at least one board");
+  std::vector<std::size_t> cut;
+  if (devices > 1) {
+    cut = dfc::mfpga::partition_network_exact(spec, devices, options.link, link_credits)
+              .layer_device;
+  }
+  return dfc::mfpga::build_multi_fpga(spec, cut, options, link_credits);
+}
+
 obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
                                      const ProfileOptions& options) {
   DFC_REQUIRE(options.batch > 0, "profile needs a positive batch");
-  DFC_REQUIRE(options.devices >= 1, "profile needs at least one device");
 
   const dfc::dse::TimingEstimate est = dfc::dse::estimate_timing(spec);
   const std::vector<Tensor> images = random_images(spec, options.batch);
@@ -96,23 +134,12 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
   in.batch = options.batch;
   in.predicted_interval = est.interval_cycles;
 
-  // One path for any board count: every board under stall accounting, every
-  // link attributed. One board keeps build_accelerator's unprefixed names.
   dfc::core::BuildOptions build = options.build;
   build.link = dfc::core::link_model_for_gbps(options.link_gbps);
   const int cycles_per_word = build.link.cycles_per_word;
-  std::vector<std::size_t> cut;
-  if (options.devices > 1) {
-    cut = dfc::mfpga::partition_network_exact(spec, options.devices, build.link,
-                                              options.link_credits)
-              .layer_device;
-  }
   dfc::mfpga::MultiFpgaHarness harness(
-      dfc::mfpga::build_multi_fpga(spec, cut, build, options.link_credits));
-  for (std::size_t d = 0; d < harness.device_count(); ++d) {
-    harness.device_context(d).set_stall_accounting(true);
-  }
-  harness.set_link_attribution(true);
+      build_observed_design(spec, options.devices, build, options.link_credits));
+  harness.observe();
   const dfc::core::BatchResult result = harness.run_batch(images);
   DFC_REQUIRE(result.ok(), "profile run did not complete: " + result.error);
 
@@ -123,10 +150,9 @@ obs::BottleneckReport profile_design(const dfc::core::NetworkSpec& spec,
   in.shared_dma_bus = options.build.dma_shared_bus && in.devices == 1;
   in.observed_interval = result.steady_interval_cycles();
 
-  std::vector<const dfc::df::SimContext*> contexts;
-  for (const auto& ctx : acc.contexts) contexts.push_back(ctx.get());
-  in.stages = build_stage_samples(est, acc, contexts);
-  in.fifos = build_fifo_samples(contexts);
+  DesignObservation observation = read_observation(acc);
+  in.stages = build_stage_samples(est, observation.cores);
+  in.fifos = std::move(observation.fifos);
 
   const double gbps = 3.2 / cycles_per_word;
   for (std::size_t i = 0; i < acc.wires.size(); ++i) {

@@ -497,33 +497,37 @@ TEST(MultiFpgaExecTest, MergedTracesKeepPerDeviceTrackNames) {
   opts.link = LinkModel{40, 4};
   MultiFpgaHarness multi(build_multi_fpga(spec, {0, 0, 1, 1}, opts));
 
-  obs::TraceSink dev0;
-  obs::TraceSink dev1;
-  multi.attach_traces({&dev0, &dev1});
+  obs::TraceSink sink;
+  multi.observe(&sink);
   const auto images = dfc::report::random_images(spec, 2);
   const auto r = multi.run_batch(images);
   ASSERT_TRUE(r.ok()) << r.error;
-  multi.detach_traces();
-  ASSERT_GT(dev0.events().size(), 0u);
-  ASSERT_GT(dev1.events().size(), 0u);
 
-  obs::TraceSink merged;
-  merge_traces({&dev0, &dev1}, merged);
-  EXPECT_EQ(merged.entities().size(), dev0.entities().size() + dev1.entities().size());
-  EXPECT_EQ(merged.events().size(), dev0.events().size() + dev1.events().size());
-
-  bool saw_dev0 = false;
-  bool saw_dev1 = false;
-  for (const auto& e : merged.entities()) {
-    saw_dev0 = saw_dev0 || e.name.rfind("fpga0.", 0) == 0;
-    saw_dev1 = saw_dev1 || e.name.rfind("fpga1.", 0) == 0;
+  // Board 0's FIFOs and processes, then board 1's, then one kLink entity per
+  // wire; both boards record, and every event id resolves to an entity.
+  std::uint32_t id = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> board_ids;
+  for (std::size_t d = 0; d < multi.device_count(); ++d) {
+    const auto& ctx = multi.device_context(d);
+    const std::uint32_t first = id;
+    for (std::size_t k = 0; k < ctx.fifo_count() + ctx.process_count(); ++k, ++id) {
+      EXPECT_EQ(sink.entity(id).name.rfind("fpga" + std::to_string(d) + ".", 0), 0u)
+          << sink.entity(id).name;
+    }
+    board_ids.emplace_back(first, id);
   }
-  EXPECT_TRUE(saw_dev0);
-  EXPECT_TRUE(saw_dev1);
-  // Every remapped event id resolves to a registered entity.
-  for (const auto& ev : merged.events()) {
-    ASSERT_LT(ev.entity, merged.entities().size());
+  for (const auto& wire : multi.accelerator().wires) {
+    EXPECT_EQ(sink.entity(id).kind, obs::EntityKind::kLink);
+    EXPECT_EQ(sink.entity(id++).name, wire->name());
   }
+  EXPECT_EQ(id, sink.entities().size());
+  for (const auto& [first, end] : board_ids) {
+    EXPECT_TRUE(std::any_of(sink.events().begin(), sink.events().end(),
+                            [&](const obs::TraceEvent& ev) {
+                              return ev.entity >= first && ev.entity < end;
+                            }));
+  }
+  for (const auto& ev : sink.events()) ASSERT_LT(ev.entity, sink.entities().size());
 }
 
 // --- partitioner edge cases ------------------------------------------------
@@ -750,13 +754,16 @@ TEST(LinkAttributionTest, LinkTraceEmitsStateAndCreditEvents) {
   const auto spec = dfc::core::make_usps_spec(3);
   MultiFpgaHarness harness = make_usps_harness(2);
   obs::TraceSink sink;
-  harness.attach_link_trace(&sink);
+  harness.observe(&sink);
   ASSERT_TRUE(harness.run_batch(dfc::report::random_images(spec, 4)).ok());
   ASSERT_FALSE(sink.entities().empty());
-  EXPECT_EQ(sink.entity(0).kind, obs::EntityKind::kLink);
+  const obs::TraceEntity& last = sink.entities().back();
+  EXPECT_EQ(last.kind, obs::EntityKind::kLink);
+  EXPECT_EQ(last.name, harness.accelerator().wires.back()->name());
   bool saw_state = false;
   bool saw_credits = false;
   for (const obs::TraceEvent& ev : sink.events()) {
+    if (sink.entity(ev.entity).kind != obs::EntityKind::kLink) continue;
     saw_state = saw_state || ev.kind == obs::EventKind::kLinkState;
     saw_credits = saw_credits || ev.kind == obs::EventKind::kLinkCredits;
   }

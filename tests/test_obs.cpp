@@ -21,7 +21,6 @@
 #include "dataflow/fifo.hpp"
 #include "dataflow/sim_context.hpp"
 #include "multifpga/exec.hpp"
-#include "multifpga/partition.hpp"
 #include "obs/activity.hpp"
 #include "obs/analyze.hpp"
 #include "obs/perfetto.hpp"
@@ -99,6 +98,39 @@ TEST(TraceSinkTest, AttachRequiresFreshSink) {
   acc.ctx->attach_trace(nullptr);
 }
 
+TEST(TraceSinkTest, ObserveTakesOneFreshSink) {
+  AcceleratorHarness harness(build_accelerator(make_usps_spec()));
+  obs::TraceSink used;
+  used.register_entity("stale", obs::EntityKind::kFifo, 1);
+  EXPECT_THROW(harness.observe(&used), ConfigError);
+  obs::TraceSink fresh;
+  harness.observe(&fresh);
+  obs::TraceSink second;
+  EXPECT_THROW(harness.observe(&second), ConfigError);
+}
+
+TEST(TraceSinkTest, ObservedTraceKeepsTheRecordedPrefixWhenFull) {
+  // The harness records each board into a sink of its own and appends it to
+  // the caller's after the run; a full sink must keep and drop exactly what
+  // the context recording straight into it does.
+  const auto images = report::random_images(make_usps_spec(), 2);
+  obs::TraceSink direct(1000);
+  AcceleratorHarness plain(build_accelerator(make_usps_spec()));
+  plain.accelerator().ctx->attach_trace(&direct);
+  plain.run_batch(images);
+  plain.run_batch(images);
+
+  obs::TraceSink observed(1000);
+  AcceleratorHarness harness(build_accelerator(make_usps_spec()));
+  harness.observe(&observed);
+  harness.run_batch(images);
+  harness.run_batch(images);
+
+  EXPECT_GT(direct.dropped(), 0u);
+  EXPECT_EQ(observed.dropped(), direct.dropped());
+  EXPECT_EQ(obs::perfetto_trace_json(observed), obs::perfetto_trace_json(direct));
+}
+
 // --- trace determinism --------------------------------------------------------
 
 std::string traced_usps_json(std::size_t batch) {
@@ -158,12 +190,12 @@ TEST(TraceExportTest, ImageMarkersCoverTheBatch) {
 
 TEST(StallAttributionTest, BucketsSumToObservedCycles) {
   AcceleratorHarness harness(build_accelerator(make_usps_spec()));
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(report::random_images(harness.spec(), 4));
 
   const std::uint64_t observed = harness.accelerator().ctx->observed_cycles();
   EXPECT_GT(observed, 0u);
-  const auto rows = report::stall_attribution(harness.accelerator());
+  const auto rows = report::read_observation(harness.accelerator()).cores;
   ASSERT_FALSE(rows.empty());
   for (const auto& row : rows) {
     EXPECT_EQ(row.activity.total(), observed) << row.name;
@@ -604,46 +636,27 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-// `dfcnn trace`'s Perfetto JSON: one board, or the exact cut over `devices`
-// boards on a 3.2 Gbps link.
+// `dfcnn trace`'s Perfetto JSON: `spec` on `devices` boards, 3.2 Gbps links.
 std::string traced_json(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices) {
-  const auto images = report::random_images(spec, batch);
-  obs::TraceSink merged;
-  if (devices == 1) {
-    AcceleratorHarness harness(build_accelerator(spec));
-    harness.accelerator().ctx->attach_trace(&merged);
-    harness.run_batch(images);
-    return obs::perfetto_trace_json(merged);
-  }
-  const core::LinkModel link{40, 1};
   core::BuildOptions opts;
-  opts.link = link;
-  mfpga::MultiFpgaHarness harness(mfpga::build_multi_fpga(
-      spec, mfpga::partition_network_exact(spec, devices, link).layer_device, opts));
-  std::vector<obs::TraceSink> sinks(harness.device_count());
-  std::vector<obs::TraceSink*> sink_ptrs;
-  for (auto& s : sinks) sink_ptrs.push_back(&s);
-  obs::TraceSink link_sink;
-  harness.attach_traces(sink_ptrs);
-  harness.attach_link_trace(&link_sink);
-  EXPECT_TRUE(harness.run_batch(images).ok());
-  std::vector<const obs::TraceSink*> all;
-  for (const auto& s : sinks) all.push_back(&s);
-  all.push_back(&link_sink);
-  mfpga::merge_traces(all, merged);
-  return obs::perfetto_trace_json(merged);
+  opts.link = core::link_model_for_gbps(3.2);
+  mfpga::MultiFpgaHarness harness(report::build_observed_design(spec, devices, opts));
+  obs::TraceSink sink;
+  harness.observe(&sink);
+  EXPECT_TRUE(harness.run_batch(report::random_images(spec, batch)).ok());
+  return obs::perfetto_trace_json(sink);
 }
 
 std::string attribution_table(const core::NetworkSpec& spec, std::size_t batch) {
   AcceleratorHarness harness(build_accelerator(spec));
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(report::random_images(spec, batch));
-  return report::format_stall_attribution(harness.accelerator());
+  return report::format_core_activity(report::read_observation(harness.accelerator()));
 }
 
 std::string pressure_dot(const core::NetworkSpec& spec) {
   AcceleratorHarness harness(build_accelerator(spec));
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(report::random_images(spec, 8));
   return core::block_design_dot(spec, harness.accelerator());
 }

@@ -202,9 +202,9 @@ int cmd_dot(const core::NetworkSpec& spec, std::size_t batch) {
     return 0;
   }
   core::AcceleratorHarness harness(core::build_accelerator(spec));
-  // Stall accounting makes consumers count empty-stall cycles on their input
+  // Observation makes consumers count empty-stall cycles on their input
   // FIFOs, so the annotated edges can show starvation, not just back-pressure.
-  harness.accelerator().ctx->set_stall_accounting(true);
+  harness.observe();
   harness.run_batch(report::random_images(spec, batch));
   std::printf("%s", core::block_design_dot(spec, harness.accelerator()).c_str());
   return 0;
@@ -221,7 +221,7 @@ void write_trace_file(const obs::TraceSink& sink, const std::string& out_path) {
 int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, const std::string& out_path) {
   obs::TraceSink sink;
   core::AcceleratorHarness harness(core::build_accelerator(spec));
-  harness.accelerator().ctx->attach_trace(&sink);
+  harness.observe(&sink);
   const auto result = harness.run_batch(report::random_images(spec, batch));
 
   write_trace_file(sink, out_path);
@@ -230,7 +230,9 @@ int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, const std::strin
                spec.name.c_str(), batch,
                static_cast<unsigned long long>(result.total_cycles()), sink.events().size(),
                static_cast<unsigned long long>(sink.dropped()), out_path.c_str());
-  std::printf("%s", report::format_stall_attribution(harness.accelerator()).c_str());
+  std::printf("%s",
+              report::format_core_activity(report::read_observation(harness.accelerator()))
+                  .c_str());
   return 0;
 }
 
@@ -242,22 +244,10 @@ int cmd_trace_multi(const core::NetworkSpec& spec, std::size_t batch, std::size_
   opts.link = link;
   mfpga::MultiFpgaHarness harness(mfpga::build_multi_fpga(spec, plan.layer_device, opts));
 
-  // One sink per board plus one for link activity; entity names already carry
-  // the fpga<d>. prefix, so the merged view stays unambiguous.
-  std::vector<obs::TraceSink> sinks(harness.device_count());
-  std::vector<obs::TraceSink*> sink_ptrs;
-  for (auto& s : sinks) sink_ptrs.push_back(&s);
-  obs::TraceSink link_sink;
-  harness.attach_traces(sink_ptrs);
-  harness.attach_link_trace(&link_sink);
+  obs::TraceSink merged;
+  harness.observe(&merged);
   const auto result = harness.run_batch(report::random_images(spec, batch));
   DFC_REQUIRE(result.ok(), "multi-FPGA trace run did not complete: " + result.error);
-
-  obs::TraceSink merged;
-  std::vector<const obs::TraceSink*> all;
-  for (const auto& s : sinks) all.push_back(&s);
-  all.push_back(&link_sink);
-  mfpga::merge_traces(all, merged);
 
   write_trace_file(merged, out_path);
   std::fprintf(stderr,

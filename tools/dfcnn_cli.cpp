@@ -8,13 +8,14 @@
 //                                            FIFO pressure annotations
 //   dfcnn simulate  <design> [batch]         cycle-level batch simulation
 //   dfcnn trace     <design> [batch] [--out trace.json] [--devices N]
-//                   [--link-gbps X]          simulate with event tracing and
-//                                            write a Perfetto JSON trace;
-//                                            with --devices N the design is
-//                                            partitioned across N boards and
-//                                            the per-board traces plus the
-//                                            inter-board link activity are
-//                                            merged into one cross-board view
+//                   [--link-gbps X]          simulate under observation, write
+//                                            a Perfetto JSON trace and print
+//                                            every core's working / starved /
+//                                            back-pressured / idle split; with
+//                                            --devices N the design is cut
+//                                            across N boards and the trace
+//                                            holds every board plus one track
+//                                            per inter-board link
 //   dfcnn serve     <design> [requests] [rate] [replicas] [--metrics]
 //                   [--seed S] [--rate R] [--boards B]
 //                                            open-loop serving scenario
@@ -118,8 +119,8 @@ int usage() {
                "           (--compiled replays the static schedule instead of stepping\n"
                "           cycles; identical results)\n"
                "  trace:   dfcnn trace <design> [batch=4] [--out trace.json]\n"
-               "           [--devices N=1] [--link-gbps X=3.2]   (N > 1 merges per-board\n"
-               "           traces + inter-board link activity into one view)\n"
+               "           [--devices N=1] [--link-gbps X=3.2]   (N > 1 cuts the design over\n"
+               "           N boards; the trace adds one track per inter-board link)\n"
                "  serve:   dfcnn serve <design> [requests=2000] [rate_rps=0(auto)] "
                "[replicas=2]\n"
                "           [--metrics] [--seed S=7] [--rate R] [--trace spans.json]\n"
@@ -218,44 +219,26 @@ void write_trace_file(const obs::TraceSink& sink, const std::string& out_path) {
   DFC_REQUIRE(out.good(), "failed writing trace to '" + out_path + "'");
 }
 
-int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, const std::string& out_path) {
+int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices,
+              double link_gbps, const std::string& out_path) {
+  core::BuildOptions opts;
+  opts.link = core::link_model_for_gbps(link_gbps);
+  mfpga::MultiFpgaHarness harness(report::build_observed_design(spec, devices, opts));
   obs::TraceSink sink;
-  core::AcceleratorHarness harness(core::build_accelerator(spec));
   harness.observe(&sink);
   const auto result = harness.run_batch(report::random_images(spec, batch));
+  DFC_REQUIRE(result.ok(), "trace run did not complete: " + result.error);
 
   write_trace_file(sink, out_path);
   std::fprintf(stderr,
-               "traced %s: batch %zu, %llu cycles, %zu events (%llu dropped) -> %s\n",
-               spec.name.c_str(), batch,
+               "traced %s on %zu board(s): batch %zu, %llu cycles, %zu events (%llu dropped) "
+               "-> %s\n",
+               spec.name.c_str(), harness.device_count(), batch,
                static_cast<unsigned long long>(result.total_cycles()), sink.events().size(),
                static_cast<unsigned long long>(sink.dropped()), out_path.c_str());
   std::printf("%s",
               report::format_core_activity(report::read_observation(harness.accelerator()))
                   .c_str());
-  return 0;
-}
-
-int cmd_trace_multi(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices,
-                    double link_gbps, const std::string& out_path) {
-  const core::LinkModel link = core::link_model_for_gbps(link_gbps);
-  const auto plan = mfpga::partition_network_exact(spec, devices, link);
-  core::BuildOptions opts;
-  opts.link = link;
-  mfpga::MultiFpgaHarness harness(mfpga::build_multi_fpga(spec, plan.layer_device, opts));
-
-  obs::TraceSink merged;
-  harness.observe(&merged);
-  const auto result = harness.run_batch(report::random_images(spec, batch));
-  DFC_REQUIRE(result.ok(), "multi-FPGA trace run did not complete: " + result.error);
-
-  write_trace_file(merged, out_path);
-  std::fprintf(stderr,
-               "traced %s across %zu boards: batch %zu, %llu cycles, %zu merged events -> %s\n",
-               spec.name.c_str(), harness.device_count(), batch,
-               static_cast<unsigned long long>(result.total_cycles()), merged.events().size(),
-               out_path.c_str());
-  std::printf("%s", harness.fifo_report().c_str());
   return 0;
 }
 
@@ -582,11 +565,7 @@ int main(int argc, char** argv) {
           batch = std::stoul(argv[i]);
         }
       }
-      DFC_REQUIRE(devices >= 1, "--devices must be at least 1");
-      if (devices > 1) {
-        return cmd_trace_multi(load_design(design), batch, devices, link_gbps, out_path);
-      }
-      return cmd_trace(load_design(design), batch, out_path);
+      return cmd_trace(load_design(design), batch, devices, link_gbps, out_path);
     }
     if (cmd == "serve") {
       bool metrics = false;

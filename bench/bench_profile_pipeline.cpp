@@ -1,15 +1,11 @@
-// Extension bench: pipeline-balance profile and stall attribution.
+// Extension bench: pipeline balance as stall attribution.
 //
-// Measures, per compute core, the fraction of cycles it is actively working
-// during a steady-state batch — the quantitative version of the paper's
-// "at steady state, all the different layers of the network will be
-// concurrently active and computing" (Sec. IV-C). Utilization is computed
-// over the steady window only (first image completion to last): including
-// the pipeline-fill warm-up in the denominator deflates every stage.
-//
-// The second table re-runs the batch with cycle-exact stall accounting and
-// splits each core's cycles into working / starved / back-pressured / idle
-// (obs/activity.hpp): underutilized stages show where a DSE should *remove*
+// Runs a batch under cycle-exact observation and splits each compute core's
+// cycles into working / starved / back-pressured / idle (obs/activity.hpp) —
+// the quantitative version of the paper's "at steady state, all the
+// different layers of the network will be concurrently active and
+// computing" (Sec. IV-C). The split covers the whole batch, pipeline fill
+// and drain included. Underutilized stages show where a DSE should *remove*
 // parallelism, and the attribution says whether the bottleneck's neighbours
 // are waiting on it (starved downstream, back-pressured upstream).
 #include <cstdio>
@@ -25,46 +21,35 @@ namespace {
 void profile(const dfc::core::NetworkSpec& spec, std::size_t batch) {
   using namespace dfc;
   core::AcceleratorHarness harness(core::build_accelerator(spec));
-  const auto images = report::random_images(spec, batch);
-  const auto p = report::pipeline_profile_steady(harness, images);
-
-  std::printf("%s, batch %zu (%llu cycles total, %llu steady)\n", spec.name.c_str(), batch,
-              static_cast<unsigned long long>(p.result.total_cycles()),
-              static_cast<unsigned long long>(p.steady_cycles));
-  AsciiTable t({"core", "steady work cycles", "utilization"});
-  double peak = 0.0;
-  std::string peak_name;
-  for (const auto& row : p.rows) {
-    t.add_row({row.name, std::to_string(row.work_cycles), fmt_percent(row.utilization, 1)});
-    if (row.utilization > peak) {
-      peak = row.utilization;
-      peak_name = row.name;
-    }
-  }
-  std::printf("%s", t.render().c_str());
-  std::printf("  bottleneck core: %s at %s busy\n\n", peak_name.c_str(),
-              fmt_percent(peak, 1).c_str());
-
-  // Stall attribution needs cycle-exact observation, which forces the naive
-  // scheduler — hence a separate (slower) run of the same batch.
   harness.observe();
-  harness.run_batch(images);
-  std::printf("%s\n",
-              report::format_core_activity(report::read_observation(harness.accelerator()))
+  const auto result = harness.run_batch(report::random_images(spec, batch));
+  const report::DesignObservation observation = report::read_observation(harness.accelerator());
+
+  std::printf("%s, batch %zu (%llu cycles total)\n", spec.name.c_str(), batch,
+              static_cast<unsigned long long>(result.total_cycles()));
+  std::printf("%s", report::format_core_activity(observation).c_str());
+  const report::CoreSample* busiest = &observation.cores.front();
+  for (const report::CoreSample& core : observation.cores) {
+    if (core.activity.working > busiest->activity.working) busiest = &core;
+  }
+  std::printf("  bottleneck core: %s at %s working\n\n", busiest->name.c_str(),
+              fmt_percent(static_cast<double>(busiest->activity.working) /
+                              static_cast<double>(busiest->activity.total()),
+                          1)
                   .c_str());
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== Extension: steady-state pipeline balance ===\n\n");
+  std::printf("=== Extension: pipeline balance and stall attribution ===\n\n");
   profile(dfc::core::make_usps_spec(), 32);
   profile(dfc::core::make_cifar_spec(), 16);
   std::printf(
-      "Reading: every core is concurrently active (nonzero utilization) — the\n"
-      "high-level pipeline at work. Cores far below the bottleneck's utilization\n"
-      "are over-provisioned: candidates for narrower ports in a resource-driven\n"
-      "redesign (cf. the DSE bench). In the attribution table, starved cores\n"
-      "wait on an upstream stage, back-pressured ones on a downstream stage.\n");
+      "Reading: every core is concurrently active (nonzero working share) — the\n"
+      "high-level pipeline at work. Cores far below the bottleneck's working\n"
+      "share are over-provisioned: candidates for narrower ports in a\n"
+      "resource-driven redesign (cf. the DSE bench). Starved cores wait on an\n"
+      "upstream stage, back-pressured ones on a downstream stage.\n");
   return 0;
 }

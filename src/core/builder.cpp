@@ -149,8 +149,7 @@ void build_design(DesignInstance& design, const NetworkSpec& spec, const BuildOp
         cfg.kh = pool.kh;
         cfg.kw = pool.kw;
         cfg.latency = spec.latency;
-        proc = design.pool_cores.emplace_back(
-            &ctx.add_process<dfc::hls::PoolCore>(node.name, cfg, *window(in), flit(out)));
+        proc = &ctx.add_process<dfc::hls::PoolCore>(node.name, cfg, *window(in), flit(out));
         break;
       }
       case NodeKind::kFcn: {

@@ -85,7 +85,6 @@ struct DesignInstance {
   DmaSink* sink = nullptr;
   std::vector<dfc::hls::ConvCore*> conv_cores;
   std::vector<dfc::hls::FcnCore*> fcn_cores;
-  std::vector<dfc::hls::PoolCore*> pool_cores;
 
   /// Board crossings, owned here (a wire belongs to neither clock domain);
   /// txs/rxs are parallel to wires.

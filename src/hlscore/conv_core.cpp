@@ -75,7 +75,6 @@ void ConvCore::on_clock() {
   blocked_retire_ = false;
   try_emit();
   try_gather();
-  if (worked_this_cycle_) ++work_cycles_;
   if (obs_enabled_) {
     // Exactly one bucket per observed cycle, working > back-pressured >
     // starved > idle. "In progress" means a position is mid-gather, data is
@@ -214,7 +213,6 @@ void ConvCore::reset() {
   emit_beat_ = 0;
   positions_completed_ = 0;
   gather_stalls_ = 0;
-  work_cycles_ = 0;
   worked_this_cycle_ = false;
   activity_.reset();
   blocked_output_ = false;

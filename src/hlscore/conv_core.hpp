@@ -87,10 +87,6 @@ class ConvCore final : public dfc::df::Process {
   /// busy (emission-bound back-pressure); used by ablation benches.
   std::uint64_t gather_stall_cycles() const { return gather_stalls_; }
 
-  /// Cycles in which the core did any work (gathered a beat or emitted one);
-  /// divided by elapsed cycles this is the stage utilization.
-  std::uint64_t work_cycles() const { return work_cycles_; }
-
   /// Per-cycle activity attribution; populated only while the owning context
   /// observes (see obs/activity.hpp).
   const obs::CoreActivity& activity() const { return activity_.counts(); }
@@ -126,7 +122,6 @@ class ConvCore final : public dfc::df::Process {
 
   std::uint64_t positions_completed_ = 0;
   std::uint64_t gather_stalls_ = 0;
-  std::uint64_t work_cycles_ = 0;
   bool worked_this_cycle_ = false;
 
   // Observation-only bookkeeping (obs_enabled_ gated; see process.hpp).

@@ -56,7 +56,6 @@ void FcnCore::on_clock() {
   lane_wait_ = false;
   try_emit();
   try_accumulate();
-  if (worked_this_cycle_) ++work_cycles_;
   if (obs_enabled_) {
     // Exactly one bucket per observed cycle; lane-hazard waits count as
     // working (see activity() doc), a blocked emit or drain queue as
@@ -158,7 +157,6 @@ void FcnCore::reset() {
   emit_index_ = 0;
   images_completed_ = 0;
   lane_stalls_ = 0;
-  work_cycles_ = 0;
   worked_this_cycle_ = false;
   activity_.reset();
   blocked_output_ = false;

@@ -72,9 +72,6 @@ class FcnCore final : public dfc::df::Process {
   /// still busy (II > 1 when num_accumulators < fadd); for the A3 ablation.
   std::uint64_t lane_stall_cycles() const { return lane_stalls_; }
 
-  /// Cycles in which the core did any work (accumulated or emitted).
-  std::uint64_t work_cycles() const { return work_cycles_; }
-
   /// Per-cycle activity attribution (only while the context observes). A
   /// lane-hazard wait counts as working: the arithmetic pipeline, not a
   /// neighbour, is the limiter.
@@ -106,7 +103,6 @@ class FcnCore final : public dfc::df::Process {
 
   std::uint64_t images_completed_ = 0;
   std::uint64_t lane_stalls_ = 0;
-  std::uint64_t work_cycles_ = 0;
   bool worked_this_cycle_ = false;
 
   // Observation-only bookkeeping (obs_enabled_ gated; see process.hpp).

@@ -41,7 +41,6 @@ void PoolCore::on_clock() {
   f.channel = w.abs_channel;
   f.last = w.last_of_image;
   out_.push(f);
-  ++outputs_produced_;
   if (obs_enabled_) activity_.tick(obs::CoreState::kWorking, now(), obs_trace_, obs_id_);
 }
 

@@ -45,20 +45,13 @@ class PoolCore final : public dfc::df::Process {
            dfc::df::Fifo<dfc::axis::Flit>& stream_out);
 
   void on_clock() override;
-  void reset() override {
-    outputs_produced_ = 0;
-    activity_.reset();
-  }
+  void reset() override { activity_.reset(); }
   // With input available the core either pools or notes an output stall
   // every cycle; without input it is fully idle.
   std::uint64_t wake_cycle() const override { return in_.can_pop() ? now() : kNeverWake; }
   std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
 
   const PoolCoreConfig& config() const { return cfg_; }
-  std::uint64_t outputs_produced() const { return outputs_produced_; }
-
-  /// Cycles in which the core processed a window (= outputs, II is 1).
-  std::uint64_t work_cycles() const { return outputs_produced_; }
 
   /// Per-cycle activity attribution (only while the context observes). A
   /// pool's window stream is sparse by design — the window buffer emits one
@@ -70,7 +63,6 @@ class PoolCore final : public dfc::df::Process {
   PoolCoreConfig cfg_;
   dfc::df::Fifo<sst::Window>& in_;
   dfc::df::Fifo<dfc::axis::Flit>& out_;
-  std::uint64_t outputs_produced_ = 0;
   obs::ActivityTracker activity_;
 };
 

@@ -5,7 +5,6 @@
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "report/sweep_runner.hpp"
 
 namespace dfc::report {
@@ -115,63 +114,6 @@ std::vector<BatchPoint> batch_sweep_sequential(const NetworkSpec& spec,
                                                std::uint64_t seed,
                                                const dfc::core::BuildOptions& options) {
   return sweep_impl(spec, batches, seed, true, options);
-}
-
-std::vector<StageUtilization> pipeline_profile(const dfc::core::Accelerator& acc,
-                                               std::uint64_t elapsed_cycles) {
-  std::vector<StageUtilization> rows;
-  const double denom = elapsed_cycles > 0 ? static_cast<double>(elapsed_cycles) : 1.0;
-  for (const auto* core : acc.conv_cores) {
-    rows.push_back({core->name(), core->work_cycles(),
-                    static_cast<double>(core->work_cycles()) / denom});
-  }
-  for (const auto* core : acc.pool_cores) {
-    rows.push_back({core->name(), core->work_cycles(),
-                    static_cast<double>(core->work_cycles()) / denom});
-  }
-  for (const auto* core : acc.fcn_cores) {
-    rows.push_back({core->name(), core->work_cycles(),
-                    static_cast<double>(core->work_cycles()) / denom});
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const StageUtilization& a, const StageUtilization& b) { return a.name < b.name; });
-  return rows;
-}
-
-SteadyProfile pipeline_profile_steady(dfc::core::AcceleratorHarness& harness,
-                                      const std::vector<Tensor>& images,
-                                      std::uint64_t max_cycles) {
-  DFC_REQUIRE(!images.empty(), "pipeline_profile_steady needs at least one image");
-  auto& acc = harness.accelerator();
-  harness.reset();
-  const std::uint64_t start = acc.ctx->cycle();
-  for (const Tensor& img : images) acc.source->enqueue(img);
-
-  // Run to the first completion, snapshot every core's work counter (rows are
-  // sorted by name, so warm-up and final rows align index-wise), then finish
-  // the batch and profile only the steady window.
-  acc.ctx->run_until([&] { return acc.sink->images_completed() >= 1; }, max_cycles);
-  const auto warm = pipeline_profile(acc, 1);
-  const std::uint64_t first_done = acc.sink->completion_cycles().front();
-  const std::size_t want = images.size();
-  acc.ctx->run_until([&] { return acc.sink->images_completed() >= want; }, max_cycles);
-
-  SteadyProfile p;
-  p.result.start_cycle = start;
-  p.result.inject_cycles = acc.source->inject_cycles();
-  p.result.completion_cycles = acc.sink->completion_cycles();
-  p.result.outputs = acc.sink->outputs();
-  p.result.end_cycle = p.result.completion_cycles.back();
-  p.steady_cycles = p.result.end_cycle - first_done;
-
-  const auto final_rows = pipeline_profile(acc, 1);
-  const double denom = p.steady_cycles > 0 ? static_cast<double>(p.steady_cycles) : 1.0;
-  p.rows.reserve(final_rows.size());
-  for (std::size_t i = 0; i < final_rows.size(); ++i) {
-    const std::uint64_t work = final_rows[i].work_cycles - warm[i].work_cycles;
-    p.rows.push_back({final_rows[i].name, work, static_cast<double>(work) / denom});
-  }
-  return p;
 }
 
 }  // namespace dfc::report

@@ -73,31 +73,4 @@ std::vector<BatchPoint> batch_sweep_sequential(const dfc::core::NetworkSpec& spe
                                                std::uint64_t seed = 7,
                                                const dfc::core::BuildOptions& options = {});
 
-/// Per-core busy fraction over `elapsed_cycles` — the pipeline balance the
-/// paper describes as "at steady state, all the different layers of the
-/// network will be concurrently active and computing".
-struct StageUtilization {
-  std::string name;
-  std::uint64_t work_cycles = 0;
-  double utilization = 0.0;
-};
-std::vector<StageUtilization> pipeline_profile(const dfc::core::Accelerator& acc,
-                                               std::uint64_t elapsed_cycles);
-
-/// pipeline_profile restricted to the steady-state window. Runs the batch
-/// itself: when the first image completes it snapshots every core's work
-/// counter, then computes utilization as (work - warm-up work) over the
-/// cycles from first to last completion. Including the pipeline-fill warm-up
-/// in the denominator (as raw pipeline_profile over total_cycles does)
-/// systematically deflates every stage's utilization, most visibly for small
-/// batches and deep networks.
-struct SteadyProfile {
-  dfc::core::BatchResult result;
-  std::vector<StageUtilization> rows;  ///< over the steady window only
-  std::uint64_t steady_cycles = 0;     ///< first completion -> last completion
-};
-SteadyProfile pipeline_profile_steady(
-    dfc::core::AcceleratorHarness& harness, const std::vector<Tensor>& images,
-    std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
-
 }  // namespace dfc::report

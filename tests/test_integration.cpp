@@ -3,12 +3,17 @@
 // test cases end to end.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/harness.hpp"
 #include "core/presets.hpp"
 #include "data/synthetic.hpp"
 #include "dse/throughput_model.hpp"
 #include "quant/quantized_infer.hpp"
 #include "report/experiments.hpp"
+#include "report/profile.hpp"
 
 namespace dfc {
 namespace {
@@ -229,33 +234,38 @@ TEST(ReportTest, RandomImagesDeterministicPerSeed) {
   EXPECT_FALSE(tensors_close(a[0], c[0], 0.0f, 0.0f));
 }
 
-TEST(ReportTest, PipelineProfileCoversEveryCore) {
-  const auto spec = core::make_usps_spec();
+// The share of its observed cycles each core spent working.
+std::vector<std::pair<std::string, double>> working_shares(const core::NetworkSpec& spec,
+                                                           std::size_t batch) {
   core::AcceleratorHarness harness(core::build_accelerator(spec));
-  const auto images = report::random_images(spec, 8);
-  const auto r = harness.run_batch(images);
-  const auto rows = report::pipeline_profile(harness.accelerator(), r.total_cycles());
+  harness.observe();
+  EXPECT_TRUE(harness.run_batch(report::random_images(spec, batch)).ok());
+  std::vector<std::pair<std::string, double>> shares;
+  for (const auto& core : report::read_observation(harness.accelerator()).cores) {
+    shares.emplace_back(core.name, static_cast<double>(core.activity.working) /
+                                       static_cast<double>(core.activity.total()));
+  }
+  return shares;
+}
+
+TEST(ReportTest, PipelineProfileCoversEveryCore) {
+  const auto shares = working_shares(core::make_usps_spec(), 8);
   // USPS: 1 conv + 6 pool cores + 1 conv + 1 fcn.
-  EXPECT_EQ(rows.size(), 9u);
-  for (const auto& row : rows) {
-    EXPECT_GT(row.utilization, 0.0) << row.name << " never worked";
-    EXPECT_LE(row.utilization, 1.0) << row.name;
+  EXPECT_EQ(shares.size(), 9u);
+  for (const auto& [name, share] : shares) {
+    EXPECT_GT(share, 0.0) << name << " never worked";
+    EXPECT_LE(share, 1.0) << name;
   }
 }
 
 TEST(ReportTest, BottleneckCoreIsBusiest) {
   // CIFAR's conv1 is the analytic bottleneck; the profile must agree.
-  const auto spec = core::make_cifar_spec();
-  core::AcceleratorHarness harness(core::build_accelerator(spec));
-  const auto images = report::random_images(spec, 6);
-  const auto r = harness.run_batch(images);
-  const auto rows = report::pipeline_profile(harness.accelerator(), r.total_cycles());
   double best = 0.0;
   std::string busiest;
-  for (const auto& row : rows) {
-    if (row.utilization > best) {
-      best = row.utilization;
-      busiest = row.name;
+  for (const auto& [name, share] : working_shares(core::make_cifar_spec(), 6)) {
+    if (share > best) {
+      best = share;
+      busiest = name;
     }
   }
   EXPECT_EQ(busiest, "L0.conv");

@@ -36,6 +36,4 @@ int tree_depth(std::size_t n) {
   return depth;
 }
 
-std::size_t tree_adder_count(std::size_t n) { return n == 0 ? 0 : n - 1; }
-
 }  // namespace dfc::hls

@@ -24,8 +24,4 @@ float tree_reduce_inplace(std::span<float> values);
 /// 0 for n <= 1).
 int tree_depth(std::size_t n);
 
-/// Number of two-input adders a balanced tree over `n` inputs instantiates
-/// (= n - 1 for n >= 1).
-std::size_t tree_adder_count(std::size_t n);
-
 }  // namespace dfc::hls

@@ -19,18 +19,9 @@
 #include <functional>
 #include <vector>
 
+#include "common/thread_pool.hpp"
+
 namespace dfc::report {
-
-/// Worker count used when run_sweep's `threads` argument is 0.
-std::size_t sweep_thread_count();
-
-namespace detail {
-/// Runs body(i) for every i in [0, count) on `threads` workers (0 = auto).
-/// Exceptions are captured per index and, after all workers have joined, the
-/// lowest-index one is rethrown — again matching sequential behaviour.
-void run_indexed(std::size_t count, std::size_t threads,
-                 const std::function<void(std::size_t)>& body);
-}  // namespace detail
 
 /// Executes independent jobs concurrently; result i is jobs[i]'s return
 /// value. Each job must be self-contained (build its own accelerator — a
@@ -40,8 +31,7 @@ template <typename R>
 std::vector<R> run_sweep(const std::vector<std::function<R()>>& jobs,
                          std::size_t threads = 0) {
   std::vector<R> results(jobs.size());
-  detail::run_indexed(jobs.size(), threads,
-                      [&](std::size_t i) { results[i] = jobs[i](); });
+  dfc::run_indexed(jobs.size(), threads, [&](std::size_t i) { results[i] = jobs[i](); });
   return results;
 }
 

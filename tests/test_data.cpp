@@ -1,11 +1,8 @@
 // Tests for the synthetic dataset generators.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
-#include <sstream>
 
-#include "data/idx_loader.hpp"
 #include "data/synthetic.hpp"
 
 namespace dfc::data {
@@ -143,80 +140,6 @@ TEST(DatasetTest, AppendAndTruncate) {
   a.truncate(2);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.labels.size(), 2u);
-}
-
-TEST(IdxLoaderTest, RoundTripGrayscale) {
-  const Dataset ds = make_usps_like(12);
-  std::stringstream imgs, lbls;
-  save_idx_images(ds.images, imgs);
-  save_idx_labels(ds.labels, lbls);
-
-  const auto images = load_idx_images(imgs);
-  const auto labels = load_idx_labels(lbls);
-  ASSERT_EQ(images.size(), 12u);
-  EXPECT_EQ(labels, ds.labels);
-  EXPECT_EQ(images[0].shape(), (Shape3{1, 16, 16}));
-  // Byte quantization: within 1/255 of the source.
-  EXPECT_LT(max_abs_diff(images[3], ds.images[3]), 1.0 / 255.0 + 1e-6);
-}
-
-TEST(IdxLoaderTest, RoundTripRgb) {
-  const Dataset ds = make_cifar_like(4);
-  std::stringstream imgs, lbls;
-  save_idx_images(ds.images, imgs);
-  save_idx_labels(ds.labels, lbls);
-  const auto images = load_idx_images(imgs);
-  ASSERT_EQ(images.size(), 4u);
-  EXPECT_EQ(images[0].shape(), (Shape3{3, 32, 32}));
-  EXPECT_LT(max_abs_diff(images[1], ds.images[1]), 1.0 / 255.0 + 1e-6);
-  EXPECT_EQ(load_idx_labels(lbls), ds.labels);
-}
-
-TEST(IdxLoaderTest, DatasetFromFiles) {
-  const Dataset ds = make_usps_like(8);
-  {
-    std::ofstream f("/tmp/dfcnn_idx_imgs.bin", std::ios::binary);
-    save_idx_images(ds.images, f);
-  }
-  {
-    std::ofstream f("/tmp/dfcnn_idx_lbls.bin", std::ios::binary);
-    save_idx_labels(ds.labels, f);
-  }
-  const Dataset back = load_idx_dataset("/tmp/dfcnn_idx_imgs.bin", "/tmp/dfcnn_idx_lbls.bin");
-  EXPECT_EQ(back.size(), 8u);
-  EXPECT_EQ(back.labels, ds.labels);
-  EXPECT_GE(back.num_classes, 1);
-}
-
-TEST(IdxLoaderTest, RejectsBadMagic) {
-  std::stringstream s("not idx data at all");
-  EXPECT_THROW(load_idx_images(s), ConfigError);
-  std::stringstream s2("also not idx");
-  EXPECT_THROW(load_idx_labels(s2), ConfigError);
-}
-
-TEST(IdxLoaderTest, RejectsTruncation) {
-  const Dataset ds = make_usps_like(4);
-  std::stringstream imgs;
-  save_idx_images(ds.images, imgs);
-  std::string data = imgs.str();
-  data.resize(data.size() - 50);
-  std::stringstream cut(data);
-  EXPECT_THROW(load_idx_images(cut), ConfigError);
-}
-
-TEST(IdxLoaderTest, CountMismatchRejected) {
-  const Dataset ds = make_usps_like(4);
-  {
-    std::ofstream f("/tmp/dfcnn_idx_imgs2.bin", std::ios::binary);
-    save_idx_images(ds.images, f);
-  }
-  {
-    std::ofstream f("/tmp/dfcnn_idx_lbls2.bin", std::ios::binary);
-    save_idx_labels({0, 1}, f);  // only two labels
-  }
-  EXPECT_THROW(load_idx_dataset("/tmp/dfcnn_idx_imgs2.bin", "/tmp/dfcnn_idx_lbls2.bin"),
-               ConfigError);
 }
 
 TEST(DatasetTest, SplitsAreDisjointSamples) {

@@ -67,8 +67,6 @@ TEST(TreeReduceTest, DepthAndAdderCount) {
   EXPECT_EQ(tree_depth(1), 0);
   EXPECT_EQ(tree_depth(2), 1);
   EXPECT_EQ(tree_depth(25), 5);
-  EXPECT_EQ(tree_adder_count(25), 24u);
-  EXPECT_EQ(tree_adder_count(0), 0u);
 }
 
 TEST(ActivationTest, Functions) {

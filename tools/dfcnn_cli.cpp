@@ -77,7 +77,6 @@
 // <design> is a preset name (usps | cifar | alexnet) or a .dfcnn file saved
 // by `export` / core::save_spec_file. <device> is one of
 // virtex7-485t (default) | virtex7-330t | kintex7-325t.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>

@@ -106,7 +106,9 @@ BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cy
   BatchResult r;
   r.requested = images.size();
   std::function<void(std::uint64_t)> observe;
-  if (link_attr_) observe = [this](std::uint64_t now) { classify_links(now); };
+  if (link_attr_ && !d.wires.empty()) {
+    observe = [this](std::uint64_t now) { classify_links(now); };
+  }
   const auto run_to = [&](std::size_t want) {
     dfc::df::run_lockstep(
         contexts_, [&] { return d.sink->images_completed() >= want; }, max_cycles, idle_limit_,

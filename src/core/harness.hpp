@@ -181,7 +181,8 @@ class Harness {
     return trackers_.at(i).counts();
   }
   /// Global cycles classified during the last run (0 when attribution was
-  /// off). Every classified cycle lands in exactly one bucket per link.
+  /// off or the design has no wire). Every classified cycle lands in exactly
+  /// one bucket per link.
   std::uint64_t link_observed_cycles() const { return link_cycles_; }
 
   /// Arms/disarms checksum+sequence integrity guards on every FIFO of every

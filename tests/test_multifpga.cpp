@@ -750,6 +750,18 @@ TEST(LinkAttributionTest, FifoReportListsInterlinkChannelsAndStalls) {
   EXPECT_NE(report.find("wire_busy="), std::string::npos);
 }
 
+TEST(LinkAttributionTest, OneBoardHasNoLinkToClassify) {
+  // Observation arms link attribution on any board count; a board without
+  // wires classifies nothing and its FIFO report (the deadlock and timeout
+  // dump) names no interlink.
+  const auto spec = dfc::core::make_usps_spec(3);
+  dfc::core::AcceleratorHarness harness(dfc::core::build_accelerator(spec));
+  harness.observe();
+  ASSERT_TRUE(harness.run_batch(dfc::report::random_images(spec, 1)).ok());
+  EXPECT_EQ(harness.link_observed_cycles(), 0u);
+  EXPECT_EQ(harness.fifo_report().find("interlink"), std::string::npos);
+}
+
 TEST(LinkAttributionTest, LinkTraceEmitsStateAndCreditEvents) {
   const auto spec = dfc::core::make_usps_spec(3);
   MultiFpgaHarness harness = make_usps_harness(2);

@@ -92,19 +92,18 @@ DesignObservation read_observation(const dfc::core::DesignInstance& design) {
 }
 
 std::string format_core_activity(const DesignObservation& observation) {
-  std::vector<const CoreSample*> rows;
-  for (const CoreSample& core : observation.cores) rows.push_back(&core);
+  std::vector<CoreSample> rows = observation.cores;
   std::sort(rows.begin(), rows.end(),
-            [](const CoreSample* a, const CoreSample* b) { return a->name < b->name; });
+            [](const CoreSample& a, const CoreSample& b) { return a.name < b.name; });
   AsciiTable t({"core", "cycles", "working", "starved", "back-pressured", "idle"});
-  for (const CoreSample* row : rows) {
-    const std::uint64_t total = row->activity.total();
+  for (const CoreSample& row : rows) {
+    const std::uint64_t total = row.activity.total();
     const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    t.add_row({row->name, std::to_string(total),
-               fmt_percent(static_cast<double>(row->activity.working) / denom, 1),
-               fmt_percent(static_cast<double>(row->activity.starved) / denom, 1),
-               fmt_percent(static_cast<double>(row->activity.back_pressured) / denom, 1),
-               fmt_percent(static_cast<double>(row->activity.idle) / denom, 1)});
+    t.add_row({row.name, std::to_string(total),
+               fmt_percent(static_cast<double>(row.activity.working) / denom, 1),
+               fmt_percent(static_cast<double>(row.activity.starved) / denom, 1),
+               fmt_percent(static_cast<double>(row.activity.back_pressured) / denom, 1),
+               fmt_percent(static_cast<double>(row.activity.idle) / denom, 1)});
   }
   return t.render();
 }

@@ -280,6 +280,10 @@ void Harness::observe(obs::TraceSink* trace) {
   if (trace == nullptr) return;
   DFC_REQUIRE(trace_ == nullptr, "observe: a trace sink is already attached");
   DFC_REQUIRE(trace->entities().empty(), "observe requires a fresh TraceSink");
+  // Checked before any state changes, so a refused call leaves none behind.
+  for (const dfc::df::SimContext* ctx : contexts_) {
+    DFC_REQUIRE(ctx->trace() == nullptr, "observe: a board already records into another sink");
+  }
   trace_ = trace;
   board_traces_.assign(contexts_.size(), obs::TraceSink(trace->capacity()));
   for (std::size_t b = 0; b < contexts_.size(); ++b) {

@@ -107,6 +107,18 @@ TEST(TraceSinkTest, ObserveTakesOneFreshSink) {
   harness.observe(&fresh);
   obs::TraceSink second;
   EXPECT_THROW(harness.observe(&second), ConfigError);
+
+  // A board already recording into a sink of its own refuses the call and
+  // keeps running as before.
+  AcceleratorHarness direct(build_accelerator(make_usps_spec()));
+  obs::TraceSink own;
+  direct.accelerator().ctx->attach_trace(&own);
+  obs::TraceSink refused;
+  EXPECT_THROW(direct.observe(&refused), ConfigError);
+  EXPECT_TRUE(refused.entities().empty());
+  EXPECT_TRUE(direct.run_batch(report::random_images(direct.spec(), 1)).ok());
+  EXPECT_FALSE(own.events().empty());
+  EXPECT_TRUE(refused.events().empty());
 }
 
 TEST(TraceSinkTest, ObservedTraceKeepsTheRecordedPrefixWhenFull) {

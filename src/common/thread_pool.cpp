@@ -9,6 +9,11 @@
 
 namespace dfc {
 
+namespace {
+/// Set on pool worker threads: a nested run_indexed runs inline.
+thread_local bool t_pool_worker = false;
+}  // namespace
+
 std::size_t default_worker_count() {
   if (const char* env = std::getenv("DFCNN_SWEEP_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -24,7 +29,7 @@ void run_indexed(std::size_t count, std::size_t threads,
   if (threads == 0) threads = default_worker_count();
   threads = std::min(threads, count);
 
-  if (threads <= 1) {
+  if (threads <= 1 || t_pool_worker) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
@@ -32,20 +37,24 @@ void run_indexed(std::size_t count, std::size_t threads,
   std::vector<std::exception_ptr> errors(count);
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
+    t_pool_worker = true;
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
+      if (i >= count) break;
       try {
         body(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
     }
+    t_pool_worker = false;
   };
 
+  // The calling thread is one of the `threads` workers.
   std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
+  pool.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 
   for (std::exception_ptr& e : errors) {

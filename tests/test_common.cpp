@@ -1,8 +1,11 @@
 // Unit tests for the common substrate: error macros, RNG, ring buffer,
-// math helpers, CSV and table writers.
+// math helpers, CSV and table writers, the worker pool.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -10,6 +13,7 @@
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 
 namespace dfc {
 namespace {
@@ -229,6 +233,57 @@ TEST(TableTest, Formatters) {
   EXPECT_EQ(fmt_percent(0.5504, 2), "55.04%");
   EXPECT_EQ(fmt_si(172414.0, 1), "172.4k");
   EXPECT_EQ(fmt_si(5.2e9, 1), "5.2G");
+}
+
+TEST(ThreadPoolTest, NestedCallsRunInline) {
+  // One fan-out level: a run_indexed inside a pool worker (the calling
+  // thread is one of them) runs every body on that worker, in index order,
+  // whatever thread count it asks for.
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::thread::id> outer_ids(kOuter);
+  std::vector<std::vector<std::thread::id>> inner_ids(kOuter);
+  std::vector<std::vector<std::size_t>> inner_order(kOuter);
+  run_indexed(kOuter, kOuter, [&](std::size_t i) {
+    outer_ids[i] = std::this_thread::get_id();
+    run_indexed(kInner, kInner, [&](std::size_t j) {
+      inner_ids[i].push_back(std::this_thread::get_id());
+      inner_order[i].push_back(j);
+    });
+  });
+  std::vector<std::size_t> in_order(kInner);
+  std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    ASSERT_EQ(inner_ids[i].size(), kInner) << "outer body " << i;
+    for (const std::thread::id id : inner_ids[i]) EXPECT_EQ(id, outer_ids[i]) << "outer body " << i;
+    EXPECT_EQ(inner_order[i], in_order) << "outer body " << i;
+  }
+}
+
+TEST(ThreadPoolTest, LowestIndexExceptionWinsAtEveryLevel) {
+  const auto throwing = [](std::size_t threads) {
+    run_indexed(6, threads, [](std::size_t i) {
+      if (i % 2 == 1) throw ConfigError("body " + std::to_string(i));
+    });
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    try {
+      throwing(threads);
+      ADD_FAILURE() << "no exception with " << threads << " threads";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("body 1"), std::string::npos) << e.what();
+    }
+  }
+  // The same from inside a worker, where the inner call runs inline.
+  std::vector<std::string> nested(2);
+  run_indexed(2, 2, [&](std::size_t i) {
+    try {
+      throwing(3);
+    } catch (const ConfigError& e) {
+      nested[i] = e.what();
+    }
+  });
+  for (const std::string& what : nested) EXPECT_NE(what.find("body 1"), std::string::npos) << what;
 }
 
 }  // namespace

@@ -27,9 +27,11 @@ namespace dfc::core {
 ///    prefix + repeating steady interval, measured on the cycle engine) and
 ///    replay batches against it: completion cycles come from the schedule,
 ///    logits from the bit-exact functional model. Falls back to
-///    kCycleAccurate automatically when a fault hook, trace sink, stall
-///    accounting, integrity guards, the stream guard or paranoid mode is
-///    active — those need real per-cycle state.
+///    kCycleAccurate automatically when any CycleGuard (core/harness.hpp)
+///    is armed — a fault hook, observation, paranoid mode, integrity or
+///    stream guards, link attribution all need real per-cycle state.
+///
+/// A BatchResult's `engine` is the mode that actually ran.
 enum class ExecutionMode { kCycleAccurate, kCompiledSchedule };
 
 struct BuildOptions {

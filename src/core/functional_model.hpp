@@ -11,15 +11,26 @@
 //
 // Sweeps and serving replay the same images against the same design many
 // times (one harness per batch point, sliced from one shared image set), so
-// infer() memoizes logits behind an exact content match — a hash lookup
-// confirmed by comparing every input byte, never a fuzzy key — and
-// shared_functional_model() shares one model (and thus one memo) across all
-// harnesses of identical designs, mirroring the schedule cache.
+// the model memoizes logits behind an exact content match — a hash of the
+// image's 64-bit words, confirmed by comparing every input byte, never a
+// fuzzy key — and shared_functional_model() shares one model (and thus one
+// memo) across all harnesses of identical designs, mirroring the schedule
+// cache.
+//
+// A batch is one call, infer_batch(); infer() is its one-image case. The
+// calling thread owns the memo: it hashes every image, does every lookup,
+// folds images that repeat within the batch into one computation and, after
+// the forward passes, inserts the results in index order. Only the distinct
+// misses fan out, over dfc::run_indexed workers (DFCNN_SWEEP_THREADS); the
+// workers touch no memo state, so its image copies stay in the caller's
+// allocator arena. Called from a pool worker (a sweep point, a serve
+// replica), the misses run inline: one fan-out level.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,9 +45,15 @@ class FunctionalModel {
   /// Copies what it needs from `spec`. Throws ConfigError on invalid specs.
   explicit FunctionalModel(const NetworkSpec& spec);
 
-  /// Runs one image through every layer and returns the values in DMA sink
-  /// order: the output volume streamed pixel-major with channels interleaved
-  /// (which for an FCN tail is simply the logit vector). Thread-safe.
+  /// Runs every image through every layer and returns, per image, the values
+  /// in DMA sink order: the output volume streamed pixel-major with channels
+  /// interleaved (which for an FCN tail is simply the logit vector). Memo
+  /// hits and in-batch repeats are not recomputed; the distinct misses run
+  /// on the sweep workers. Bit-identical to infer() on each image in turn.
+  /// Thread-safe.
+  std::vector<std::vector<float>> infer_batch(std::span<const Tensor> images) const;
+
+  /// infer_batch() of one image.
   std::vector<float> infer(const Tensor& image) const;
 
   /// Images whose logits are currently memoized.

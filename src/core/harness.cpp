@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,6 +16,19 @@ const char* run_status_name(RunStatus status) {
     case RunStatus::kOk: return "ok";
     case RunStatus::kTimeout: return "timeout";
     case RunStatus::kDeadlock: return "deadlock";
+  }
+  return "unknown";
+}
+
+const char* cycle_guard_name(CycleGuard guard) {
+  switch (guard) {
+    case CycleGuard::kNone: return "none";
+    case CycleGuard::kCycleHook: return "cycle hook";
+    case CycleGuard::kObservation: return "observation";
+    case CycleGuard::kParanoid: return "paranoid";
+    case CycleGuard::kIntegrityGuards: return "integrity guards";
+    case CycleGuard::kStreamGuard: return "stream guard";
+    case CycleGuard::kLinkAttribution: return "link attribution";
   }
   return "unknown";
 }
@@ -70,15 +84,27 @@ Harness::~Harness() = default;
 Harness::Harness(Harness&&) noexcept = default;
 Harness& Harness::operator=(Harness&&) noexcept = default;
 
-bool Harness::compiled_mode_legal() const {
-  if (design_->options.execution_mode != ExecutionMode::kCompiledSchedule || link_attr_ ||
-      design_->sink->stream_guard_enabled()) {
-    return false;
+CycleGuard Harness::cycle_engine_guard() const {
+  const auto any_board = [this](bool (*armed)(const dfc::df::SimContext&)) {
+    return std::any_of(contexts_.begin(), contexts_.end(),
+                       [armed](const dfc::df::SimContext* ctx) { return armed(*ctx); });
+  };
+  if (any_board([](const auto& c) { return c.cycle_hook() != nullptr; })) {
+    return CycleGuard::kCycleHook;
   }
-  return std::none_of(contexts_.begin(), contexts_.end(), [](const dfc::df::SimContext* ctx) {
-    return ctx->cycle_hook() != nullptr || ctx->observing() || ctx->paranoid() ||
-           ctx->integrity_guards_active();
-  });
+  if (any_board([](const auto& c) { return c.observing(); })) return CycleGuard::kObservation;
+  if (any_board([](const auto& c) { return c.paranoid(); })) return CycleGuard::kParanoid;
+  if (any_board([](const auto& c) { return c.integrity_guards_active(); })) {
+    return CycleGuard::kIntegrityGuards;
+  }
+  if (design_->sink->stream_guard_enabled()) return CycleGuard::kStreamGuard;
+  if (link_attr_) return CycleGuard::kLinkAttribution;
+  return CycleGuard::kNone;
+}
+
+bool Harness::compiled_mode_legal() const {
+  return design_->options.execution_mode == ExecutionMode::kCompiledSchedule &&
+         cycle_engine_guard() == CycleGuard::kNone;
 }
 
 void Harness::reset() {
@@ -105,6 +131,9 @@ BatchResult Harness::run(const std::vector<Tensor>& images, std::uint64_t max_cy
   DesignInstance& d = *design_;
   BatchResult r;
   r.requested = images.size();
+  if (d.options.execution_mode == ExecutionMode::kCompiledSchedule) {
+    r.fallback = cycle_engine_guard();
+  }
   std::function<void(std::uint64_t)> observe;
   if (link_attr_ && !d.wires.empty()) {
     observe = [this](std::uint64_t now) { classify_links(now); };
@@ -164,6 +193,7 @@ BatchResult Harness::run_compiled(const std::vector<Tensor>& images, std::uint64
   BatchResult r;
   r.start_cycle = 0;
   r.requested = images.size();
+  r.engine = ExecutionMode::kCompiledSchedule;
 
   // Replay the schedule, applying the same cycle budget run_lockstep
   // enforces: in batch mode one budget spans the whole run; in sequential
@@ -192,8 +222,8 @@ BatchResult Harness::run_compiled(const std::vector<Tensor>& images, std::uint64
   }
   for (std::size_t i = 0; i < completed; ++i) {
     r.completion_cycles.push_back(sched.completion_cycle(i));
-    r.outputs.push_back(functional_->infer(images[i]));
   }
+  r.outputs = functional_->infer_batch(std::span<const Tensor>(images).first(completed));
   r.end_cycle = r.ok() ? sched.completion_cycle(images.size() - 1) : abort_cycle;
   return r;
 }

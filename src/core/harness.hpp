@@ -11,9 +11,11 @@
 // schedule (core/schedule.hpp) that replays per-image inject/completion
 // cycles and bit-identical logits without per-cycle FIFO handshakes. The
 // compiled path falls back to the cycle engine automatically whenever any
-// board is observed or perturbed (trace, stall accounting, fault hook,
-// integrity/stream guards, link attribution, paranoid mode) — see
-// compiled_mode_legal(). Both work for any board count.
+// board is observed or perturbed (fault hook, trace or stall accounting,
+// paranoid mode, integrity/stream guards, link attribution) — see
+// cycle_engine_guard(). Both work for any board count, and every
+// BatchResult records the engine that ran and the guard that forced a
+// fallback.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +51,22 @@ enum class RunStatus { kOk, kTimeout, kDeadlock };
 
 const char* run_status_name(RunStatus status);
 
+/// What forces cycle-level stepping on a design (DESIGN.md §10), in the
+/// order the harness checks: a fault-injection cycle hook, observation (a
+/// trace sink or stall accounting), paranoid mode or FIFO integrity guards
+/// on any board, the DMA sink's stream guard, link attribution.
+enum class CycleGuard {
+  kNone,
+  kCycleHook,
+  kObservation,
+  kParanoid,
+  kIntegrityGuards,
+  kStreamGuard,
+  kLinkAttribution,
+};
+
+const char* cycle_guard_name(CycleGuard guard);
+
 struct BatchResult {
   std::uint64_t start_cycle = 0;
   std::uint64_t end_cycle = 0;  ///< completion of the last image (kOk), or
@@ -60,6 +78,12 @@ struct BatchResult {
   RunStatus status = RunStatus::kOk;
   std::size_t requested = 0;  ///< images the run was asked to process
   std::string error;          ///< watchdog detail when !ok()
+
+  /// The engine that ran, whatever the design was built for.
+  ExecutionMode engine = ExecutionMode::kCycleAccurate;
+  /// On a compiled-mode build that ran on the cycle engine, the guard that
+  /// forced it; kNone otherwise.
+  CycleGuard fallback = CycleGuard::kNone;
 
   bool ok() const { return status == RunStatus::kOk; }
   std::size_t completed() const { return completion_cycles.size(); }
@@ -133,11 +157,14 @@ class Harness {
   const NetworkSpec& spec() const { return design_->spec; }
   DesignInstance& design() { return *design_; }
 
+  /// The first CycleGuard, in enum order, armed on any board or link of the
+  /// design; kNone when nothing forces cycle-level stepping. Independent of
+  /// the execution mode the design was built for.
+  CycleGuard cycle_engine_guard() const;
+
   /// True when the next run would take the compiled-schedule fast path: the
-  /// design was built with ExecutionMode::kCompiledSchedule and nothing on
-  /// any board forces cycle-level stepping (no cycle hook, no trace or stall
-  /// accounting, no integrity guard, not paranoid; no stream guard on the
-  /// sink, no link attribution).
+  /// design was built with ExecutionMode::kCompiledSchedule and no guard is
+  /// armed.
   bool compiled_mode_legal() const;
 
   /// Resets the whole design to its power-on state.

@@ -27,6 +27,14 @@ std::vector<Tensor> random_images(const NetworkSpec& spec, std::size_t count,
 }
 
 namespace {
+void require_finished(const BatchResult& r, const char* what, const NetworkSpec& spec,
+                      std::size_t batch) {
+  if (!r.ok()) {
+    throw SimError(std::string(what) + ": " + spec.name + " batch " + std::to_string(batch) +
+                   " did not finish (" + dfc::core::run_status_name(r.status) + "): " + r.error);
+  }
+}
+
 std::vector<std::uint64_t> image_latencies(const BatchResult& r) {
   std::vector<std::uint64_t> lat;
   lat.reserve(r.batch_size());
@@ -42,10 +50,7 @@ PerformanceMetrics measure_performance(const NetworkSpec& spec, std::size_t batc
   AcceleratorHarness harness(dfc::core::build_accelerator(spec, options));
   const auto images = random_images(spec, batch, seed);
   const BatchResult r = harness.run_batch(images);
-  if (!r.ok()) {
-    throw SimError("measure_performance: " + spec.name + " batch " + std::to_string(batch) +
-                   " did not finish (" + dfc::core::run_status_name(r.status) + "): " + r.error);
-  }
+  require_finished(r, "measure_performance", spec, batch);
 
   PerformanceMetrics m;
   m.name = spec.name;
@@ -68,6 +73,8 @@ PerformanceMetrics measure_performance(const NetworkSpec& spec, std::size_t batc
   m.p50_latency_us = dfc::core::cycles_to_us(static_cast<double>(lp.p50));
   m.p95_latency_us = dfc::core::cycles_to_us(static_cast<double>(lp.p95));
   m.p99_latency_us = dfc::core::cycles_to_us(static_cast<double>(lp.p99));
+  m.engine = r.engine;
+  m.fallback = r.fallback;
   return m;
 }
 
@@ -91,6 +98,7 @@ std::vector<BatchPoint> sweep_impl(const NetworkSpec& spec,
                                       images.begin() + static_cast<std::ptrdiff_t>(b));
       const BatchResult r =
           sequential ? harness.run_sequential(slice) : harness.run_batch(slice);
+      require_finished(r, sequential ? "batch_sweep_sequential" : "batch_sweep", spec, b);
       const LatencyPercentiles lp = latency_percentiles(image_latencies(r));
       return BatchPoint{b, dfc::core::cycles_to_us(r.mean_cycles_per_image()),
                         r.total_cycles(),

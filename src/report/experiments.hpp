@@ -38,6 +38,10 @@ struct PerformanceMetrics {
   double p50_latency_us = 0.0;
   double p95_latency_us = 0.0;
   double p99_latency_us = 0.0;
+  /// The engine that ran the batch, and on a compiled-mode build that fell
+  /// back, the guard that forced it (BatchResult::engine / ::fallback).
+  dfc::core::ExecutionMode engine = dfc::core::ExecutionMode::kCycleAccurate;
+  dfc::core::CycleGuard fallback = dfc::core::CycleGuard::kNone;
 };
 
 /// Runs a pipelined batch and derives all Table II metrics. `options`
@@ -61,13 +65,15 @@ struct BatchPoint {
 
 /// Fig. 6 sweep: mean time per image for each batch size. Every point builds
 /// its accelerator with `options`, so a compiled-schedule sweep pays one
-/// calibration (shared via the schedule cache) and replays the rest.
+/// calibration (shared via the schedule cache) and replays the rest. Throws
+/// SimError if any point's batch does not finish.
 std::vector<BatchPoint> batch_sweep(const dfc::core::NetworkSpec& spec,
                                     const std::vector<std::size_t>& batches,
                                     std::uint64_t seed = 7,
                                     const dfc::core::BuildOptions& options = {});
 
-/// Sequential (non-pipelined) counterpart for the A1 ablation.
+/// Sequential (non-pipelined) counterpart for the A1 ablation; throws
+/// SimError like batch_sweep.
 std::vector<BatchPoint> batch_sweep_sequential(const dfc::core::NetworkSpec& spec,
                                                const std::vector<std::size_t>& batches,
                                                std::uint64_t seed = 7,

@@ -313,10 +313,13 @@ TEST(HarnessTest, UnfinishedRunsRaiseTypedErrors) {
   harness.set_idle_limit(0);  // every idle cycle is now a deadlock
   EXPECT_EQ(harness.run_batch(dfc::report::random_images(spec, 2)).status,
             RunStatus::kDeadlock);
-  // A billion-cycle adder cannot finish inside the default budget.
+  // A billion-cycle adder cannot finish inside the default budget, so no
+  // measurement is built from its partial run.
   NetworkSpec glacial = spec;
   glacial.latency.fadd = 1'000'000'000;
   EXPECT_THROW(dfc::report::measure_performance(glacial, 2), SimError);
+  EXPECT_THROW(dfc::report::batch_sweep(glacial, {1, 2}), SimError);
+  EXPECT_THROW(dfc::report::batch_sweep_sequential(glacial, {1, 2}), SimError);
 }
 
 TEST(DmaTest, SourceRejectsWrongShape) {

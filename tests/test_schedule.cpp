@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,6 +41,25 @@ BuildOptions cycle_options(bool shared_bus = true) {
   o.execution_mode = ExecutionMode::kCycleAccurate;
   return o;
 }
+
+// Sets DFCNN_SWEEP_THREADS for one scope and restores it on exit.
+class ScopedSweepThreads {
+ public:
+  explicit ScopedSweepThreads(const char* value) {
+    if (const char* old = std::getenv("DFCNN_SWEEP_THREADS")) old_ = old;
+    ::setenv("DFCNN_SWEEP_THREADS", value, 1);
+  }
+  ~ScopedSweepThreads() {
+    if (old_.empty()) {
+      ::unsetenv("DFCNN_SWEEP_THREADS");
+    } else {
+      ::setenv("DFCNN_SWEEP_THREADS", old_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string old_;
+};
 
 void expect_identical(const BatchResult& cycle, const BatchResult& compiled,
                       const std::string& what) {
@@ -202,6 +222,41 @@ TEST(FunctionalModelTest, RejectsWrongInputShape) {
   EXPECT_THROW(model.infer(Tensor(Shape3{3, 2, 2})), ConfigError);
 }
 
+bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(FunctionalModelTest, InferBatchMatchesPerImageInfer) {
+  // One batch call against infer() on each image in turn: fresh images,
+  // repeats within the batch, and hits left in the memo by an earlier batch,
+  // with the misses run inline and fanned out over four workers.
+  for (const NetworkSpec& spec : {make_usps_spec(), make_cifar_spec()}) {
+    const auto pool = dfc::report::random_images(spec, 6, 11);
+    const std::vector<Tensor> earlier{pool[0], pool[1]};
+    const std::vector<Tensor> batch{pool[2], pool[0], pool[3], pool[2], pool[4],
+                                    pool[1], pool[3], pool[5], pool[4]};
+    const FunctionalModel serial(spec);
+    for (const Tensor& image : earlier) serial.infer(image);
+    std::vector<std::vector<float>> expected;
+    for (const Tensor& image : batch) expected.push_back(serial.infer(image));
+
+    for (const char* threads : {"1", "4"}) {
+      ScopedSweepThreads scoped(threads);
+      const std::string what = spec.name + " on " + threads + " thread(s)";
+      const FunctionalModel model(spec);
+      model.infer_batch(earlier);
+      const std::vector<std::vector<float>> got = model.infer_batch(batch);
+      ASSERT_EQ(got.size(), batch.size()) << what;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_TRUE(bit_identical(got[i], expected[i])) << what << ", image " << i;
+      }
+      // Six distinct images, none of them computed twice.
+      EXPECT_EQ(model.memo_size(), serial.memo_size()) << what;
+      EXPECT_EQ(model.memo_size(), pool.size()) << what;
+    }
+  }
+}
+
 // --- fallback legality ---------------------------------------------------------
 
 class NullHook : public dfc::df::CycleHook {
@@ -209,58 +264,83 @@ class NullHook : public dfc::df::CycleHook {
   void on_cycle_start(std::uint64_t) override {}
 };
 
+// A watched compiled-mode build: the cycle engine runs, the result names
+// `guard` as the reason, and it equals the cycle-accurate build's result.
+void expect_fallback(Harness& h, const std::vector<Tensor>& images, CycleGuard guard,
+                     const BatchResult& expected, const std::string& what) {
+  EXPECT_FALSE(h.compiled_mode_legal()) << what;
+  EXPECT_STREQ(cycle_guard_name(h.cycle_engine_guard()), cycle_guard_name(guard)) << what;
+  const BatchResult r = h.run_batch(images);
+  EXPECT_TRUE(r.engine == ExecutionMode::kCycleAccurate) << what;
+  EXPECT_STREQ(cycle_guard_name(r.fallback), cycle_guard_name(guard)) << what;
+  expect_identical(expected, r, what);
+}
+
+// An unwatched compiled-mode build replays the schedule and names no guard.
+void expect_compiled(Harness& h, const std::vector<Tensor>& images, const BatchResult& expected,
+                     const std::string& what) {
+  EXPECT_TRUE(h.compiled_mode_legal()) << what;
+  const BatchResult r = h.run_batch(images);
+  EXPECT_TRUE(r.engine == ExecutionMode::kCompiledSchedule) << what;
+  EXPECT_STREQ(cycle_guard_name(r.fallback), "none") << what;
+  expect_identical(expected, r, what);
+}
+
 TEST(CompiledScheduleTest, WatchedContextsFallBackToCycleEngine) {
   const NetworkSpec spec = make_usps_spec();
   const auto images = dfc::report::random_images(spec, 3);
   AcceleratorHarness reference(build_accelerator(spec, cycle_options()));
   const BatchResult expected = reference.run_batch(images);
+  // A cycle-accurate build never falls back, so it names no guard.
+  EXPECT_TRUE(expected.engine == ExecutionMode::kCycleAccurate);
+  EXPECT_STREQ(cycle_guard_name(expected.fallback), "none");
 
   AcceleratorHarness h(build_accelerator(spec, compiled_options()));
   dfc::df::SimContext& ctx = *h.accelerator().ctx;
-  ASSERT_TRUE(h.compiled_mode_legal());
+  expect_compiled(h, images, expected, "unwatched");
 
   {  // cycle hook (fault injection)
     NullHook hook;
     ctx.attach_cycle_hook(&hook);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "hooked");
+    expect_fallback(h, images, CycleGuard::kCycleHook, expected, "hooked");
     ctx.attach_cycle_hook(nullptr);
   }
   {  // trace sink: events must actually be recorded, proving the cycle
      // engine ran.
     dfc::obs::TraceSink sink;
     ctx.attach_trace(&sink);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "traced");
+    expect_fallback(h, images, CycleGuard::kObservation, expected, "traced");
     EXPECT_GT(sink.events().size(), 0u);
     ctx.attach_trace(nullptr);
   }
   {  // stall accounting
     ctx.set_stall_accounting(true);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "stall-accounted");
+    expect_fallback(h, images, CycleGuard::kObservation, expected, "stall-accounted");
     ctx.set_stall_accounting(false);
   }
   {  // paranoid lockstep checking
     ctx.set_paranoid(true);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "paranoid");
+    expect_fallback(h, images, CycleGuard::kParanoid, expected, "paranoid");
     ctx.set_paranoid(false);
   }
   {  // FIFO integrity guards
     ctx.enable_integrity_guards(nullptr, 0.0f);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "guarded");
+    expect_fallback(h, images, CycleGuard::kIntegrityGuards, expected, "guarded");
     ctx.disable_integrity_guards();
   }
   {  // DMA sink stream guard
     h.accelerator().sink->set_stream_guard(true, 1e9f);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "stream-guarded");
+    expect_fallback(h, images, CycleGuard::kStreamGuard, expected, "stream-guarded");
     h.accelerator().sink->set_stream_guard(false);
   }
-  EXPECT_TRUE(h.compiled_mode_legal());
-  expect_identical(expected, h.run_batch(images), "legal again");
+  {  // two guards at once: the first in CycleGuard order is named
+    ctx.set_paranoid(true);
+    h.accelerator().sink->set_stream_guard(true, 1e9f);
+    expect_fallback(h, images, CycleGuard::kParanoid, expected, "paranoid and stream-guarded");
+    h.accelerator().sink->set_stream_guard(false);
+    ctx.set_paranoid(false);
+  }
+  expect_compiled(h, images, expected, "legal again");
 }
 
 TEST(CompiledScheduleTest, WatchedBoardsFallBackToCycleEngine) {
@@ -274,48 +354,41 @@ TEST(CompiledScheduleTest, WatchedBoardsFallBackToCycleEngine) {
   ASSERT_TRUE(expected.ok()) << expected.error;
 
   dfc::mfpga::MultiFpgaHarness h(dfc::mfpga::build_multi_fpga(spec, cut, compiled_options()));
-  ASSERT_TRUE(h.compiled_mode_legal());
-  expect_identical(expected, h.run_batch(images), "compiled");
+  expect_compiled(h, images, expected, "compiled");
   for (std::size_t board = 0; board < h.device_count(); ++board) {
     dfc::df::SimContext& ctx = h.device_context(board);
     const std::string on = " on board " + std::to_string(board);
     {
       NullHook hook;
       ctx.attach_cycle_hook(&hook);
-      EXPECT_FALSE(h.compiled_mode_legal());
-      expect_identical(expected, h.run_batch(images), "hooked" + on);
+      expect_fallback(h, images, CycleGuard::kCycleHook, expected, "hooked" + on);
       ctx.attach_cycle_hook(nullptr);
     }
     {
       dfc::obs::TraceSink sink;
       ctx.attach_trace(&sink);
-      EXPECT_FALSE(h.compiled_mode_legal());
-      expect_identical(expected, h.run_batch(images), "traced" + on);
+      expect_fallback(h, images, CycleGuard::kObservation, expected, "traced" + on);
       EXPECT_GT(sink.events().size(), 0u);
       ctx.attach_trace(nullptr);
     }
     {
       ctx.enable_integrity_guards(nullptr, 0.0f);
-      EXPECT_FALSE(h.compiled_mode_legal());
-      expect_identical(expected, h.run_batch(images), "guarded" + on);
+      expect_fallback(h, images, CycleGuard::kIntegrityGuards, expected, "guarded" + on);
       ctx.disable_integrity_guards();
     }
   }
   {
     h.set_link_attribution(true);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "link-attributed");
+    expect_fallback(h, images, CycleGuard::kLinkAttribution, expected, "link-attributed");
     EXPECT_GT(h.link_observed_cycles(), 0u);
     h.set_link_attribution(false);
   }
   {
     h.accelerator().sink->set_stream_guard(true, 1e9f);
-    EXPECT_FALSE(h.compiled_mode_legal());
-    expect_identical(expected, h.run_batch(images), "stream-guarded");
+    expect_fallback(h, images, CycleGuard::kStreamGuard, expected, "stream-guarded");
     h.accelerator().sink->set_stream_guard(false);
   }
-  EXPECT_TRUE(h.compiled_mode_legal());
-  expect_identical(expected, h.run_batch(images), "legal again");
+  expect_compiled(h, images, expected, "legal again");
 }
 
 // --- structured timeout emulation ----------------------------------------------
@@ -409,24 +482,6 @@ TEST(CompiledScheduleTest, SteadyIntervalMatchesKnownUspsRate) {
 }
 
 // --- byte-determinism across sweep thread counts -------------------------------
-
-class ScopedSweepThreads {
- public:
-  explicit ScopedSweepThreads(const char* value) {
-    if (const char* old = std::getenv("DFCNN_SWEEP_THREADS")) old_ = old;
-    ::setenv("DFCNN_SWEEP_THREADS", value, 1);
-  }
-  ~ScopedSweepThreads() {
-    if (old_.empty()) {
-      ::unsetenv("DFCNN_SWEEP_THREADS");
-    } else {
-      ::setenv("DFCNN_SWEEP_THREADS", old_.c_str(), 1);
-    }
-  }
-
- private:
-  std::string old_;
-};
 
 TEST(CompiledScheduleTest, SweepIsByteIdenticalAcrossThreadCounts) {
   const NetworkSpec spec = make_usps_spec();

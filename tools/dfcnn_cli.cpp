@@ -182,8 +182,14 @@ int cmd_simulate(const core::NetworkSpec& spec, std::size_t batch, bool compiled
   core::BuildOptions options;
   if (compiled) options.execution_mode = core::ExecutionMode::kCompiledSchedule;
   const auto m = report::measure_performance(spec, batch, 7, {}, {}, options);
+  // The engine that ran, which a guard can force off the requested one.
+  std::string engine = m.engine == core::ExecutionMode::kCompiledSchedule ? "compiled schedule"
+                                                                          : "cycle accurate";
+  if (m.fallback != core::CycleGuard::kNone) {
+    engine += std::string(" (") + core::cycle_guard_name(m.fallback) + " fallback)";
+  }
   AsciiTable t({"metric", "value"});
-  t.add_row({"engine", compiled ? "compiled schedule" : "cycle accurate"});
+  t.add_row({"engine", engine});
   t.add_row({"batch", std::to_string(m.batch)});
   t.add_row({"total cycles", std::to_string(m.total_cycles)});
   t.add_row({"mean us/image", fmt_fixed(m.mean_us_per_image, 3)});
@@ -205,7 +211,8 @@ int cmd_dot(const core::NetworkSpec& spec, std::size_t batch) {
   // Observation makes consumers count empty-stall cycles on their input
   // FIFOs, so the annotated edges can show starvation, not just back-pressure.
   harness.observe();
-  harness.run_batch(report::random_images(spec, batch));
+  const auto result = harness.run_batch(report::random_images(spec, batch));
+  DFC_REQUIRE(result.ok(), "dot run did not complete: " + result.error);
   std::printf("%s", core::block_design_dot(spec, harness.accelerator()).c_str());
   return 0;
 }

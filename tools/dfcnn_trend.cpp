@@ -49,6 +49,16 @@ double wall_ms_of(const std::function<void()>& fn) {
   return best;
 }
 
+// Runs one batch of a hot bench; a batch that does not finish is no
+// measurement.
+void run_finished(core::Harness& h, const std::vector<Tensor>& images) {
+  const core::BatchResult r = h.run_batch(images);
+  if (!r.ok()) {
+    throw SimError(std::string("trend bench batch did not finish (") +
+                   core::run_status_name(r.status) + "): " + r.error);
+  }
+}
+
 // The hot benches: the paths whose speed the repo actually cares about —
 // cycle engine, compiled fast path, lockstep multi-board executor, serving
 // planner. Fixed seeds and sizes so every PR measures the same work.
@@ -65,7 +75,7 @@ report::TrendSnapshot measure_benches(const std::string& label) {
 
   snap.benches.push_back({"usps_cycle_batch128", wall_ms_of([&] {
     core::AcceleratorHarness h(core::build_accelerator(usps));
-    h.run_batch(images);
+    run_finished(h, images);
   })});
 
   snap.benches.push_back({"usps_compiled_batch64_x300", wall_ms_of([&] {
@@ -73,7 +83,7 @@ report::TrendSnapshot measure_benches(const std::string& label) {
     opts.execution_mode = core::ExecutionMode::kCompiledSchedule;
     core::AcceleratorHarness h(core::build_accelerator(usps, opts));
     const auto batch = report::random_images(usps, 64);
-    for (int i = 0; i < 300; ++i) h.run_batch(batch);
+    for (int i = 0; i < 300; ++i) run_finished(h, batch);
   })});
 
   snap.benches.push_back({"usps_multifpga_2dev_batch128", wall_ms_of([&] {
@@ -82,7 +92,7 @@ report::TrendSnapshot measure_benches(const std::string& label) {
     core::BuildOptions opts;
     opts.link = link;
     mfpga::MultiFpgaHarness h(mfpga::build_multi_fpga(usps, plan.layer_device, opts));
-    h.run_batch(images);
+    run_finished(h, images);
   })});
 
   snap.benches.push_back({"usps_serve_5k", wall_ms_of([&] {

@@ -173,9 +173,9 @@ Tensor FunctionalModel::eval_conv(const ConvLayerSpec& conv, const hls::ConvMacK
         }
         kernel.beat(g, beat_taps, acc);
       }
+      apply_activation(conv.act, acc);
       for (std::int64_t k = 0; k < conv.out_fm; ++k) {
-        out_data[(k * os.h + oyi) * os.w + oxi] =
-            apply_activation(conv.act, acc[static_cast<std::size_t>(k)]);
+        out_data[(k * os.h + oyi) * os.w + oxi] = acc[static_cast<std::size_t>(k)];
       }
     }
   }
@@ -240,7 +240,7 @@ Tensor FunctionalModel::eval_fcn(const FcnLayerSpec& fcn, const hls::FcnMacKerne
   kernel.accumulate(0, stream, acc);
   Tensor out(Shape3{fcn.out_count, 1, 1});
   kernel.drain(acc, out.flat());
-  for (float& v : out.flat()) v = apply_activation(fcn.act, v);
+  apply_activation(fcn.act, out.flat());
   return out;
 }
 

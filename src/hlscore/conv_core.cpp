@@ -110,7 +110,7 @@ void ConvCore::try_emit() {
   for (int p = 0; p < cfg_.out_ports; ++p) {
     const std::int64_t k = emit_beat_ * cfg_.out_ports + p;
     Flit f;
-    f.data = apply_activation(cfg_.activation, head.values[static_cast<std::size_t>(k)]);
+    f.data = head.values[static_cast<std::size_t>(k)];
     f.channel = static_cast<std::int32_t>(cfg_.out_channel_base + k);
     f.last = last_beat && head.last_of_image;
     out_[static_cast<std::size_t>(p)]->push(f);
@@ -167,6 +167,9 @@ void ConvCore::try_gather() {
     return;
   }
   group_ = 0;
+  // The position's OUT_FM values are activated as one vector as they retire;
+  // the next position reseeds acc_.
+  apply_activation(cfg_.activation, acc_);
   in_flight_.push_back(InFlight{
       acc_, last_of_image, now() + static_cast<std::uint64_t>(cfg_.pipeline_latency())});
   ++positions_completed_;

@@ -105,9 +105,9 @@ class ConvCore final : public dfc::df::Process {
   std::int64_t group_ = 0;  ///< next gather beat within the current position
   std::int64_t position_in_image_ = 0;
 
-  // Completed positions travelling through the core's pipeline registers:
-  // each becomes emittable `pipeline_latency()` cycles after its last gather
-  // beat. The queue depth models the pipeline stages, so latency never
+  // Completed positions travelling through the core's pipeline registers,
+  // activated: each becomes emittable `pipeline_latency()` cycles after its
+  // last gather beat. The queue depth models the pipeline stages, so latency never
   // throttles the steady-state initiation interval.
   struct InFlight {
     std::vector<float> values;

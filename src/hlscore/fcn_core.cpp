@@ -84,8 +84,7 @@ void FcnCore::try_emit() {
     return;
   }
   Flit f;
-  f.data = apply_activation(cfg_.activation,
-                            in_flight_.front().values[static_cast<std::size_t>(emit_index_)]);
+  f.data = in_flight_.front().values[static_cast<std::size_t>(emit_index_)];
   f.channel = static_cast<std::int32_t>(emit_index_);
   f.last = (emit_index_ == cfg_.out_count - 1);
   out_.push(f);
@@ -132,6 +131,7 @@ void FcnCore::try_accumulate() {
   InFlight slot;
   slot.values.resize(static_cast<std::size_t>(cfg_.out_count));
   kernel_.drain(acc_, slot.values);
+  apply_activation(cfg_.activation, slot.values);
   slot.ready_cycle = now() + static_cast<std::uint64_t>(cfg_.drain_latency());
   in_flight_.push_back(std::move(slot));
   ++images_completed_;

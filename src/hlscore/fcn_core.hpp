@@ -91,8 +91,8 @@ class FcnCore final : public dfc::df::Process {
   std::int64_t input_index_ = 0;
 
   // Completed images travelling through the drain pipeline (multiply+add in
-  // flight plus the lane-reduction tree); sized so drain latency does not
-  // throttle the input stream.
+  // flight plus the lane-reduction tree), activated at drain; sized so drain
+  // latency does not throttle the input stream.
   struct InFlight {
     std::vector<float> values;
     std::uint64_t ready_cycle = 0;

@@ -57,11 +57,12 @@ Tensor Conv2d::run_forward(const Tensor& in, Tensor* pre_act) const {
             }
           }
         }
-        if (pre_act != nullptr) pre_act->at(k, oy, ox) = sum;
-        out.at(k, oy, ox) = dfc::hls::apply_activation(act_, sum);
+        out.at(k, oy, ox) = sum;
       }
     }
   }
+  if (pre_act != nullptr) *pre_act = out;
+  dfc::hls::apply_activation(act_, out.flat());
   return out;
 }
 
@@ -78,6 +79,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   DFC_REQUIRE(os == cached_pre_act_.shape(), "conv backward shape mismatch");
   const Shape3 is = cached_in_.shape();
   Tensor grad_in(is, 0.0f);
+  Tensor tanh_z;  // tanh of every pre-activation value, for tanh' = 1 - tanh^2
+  if (act_ == Activation::kTanh) {
+    tanh_z = cached_pre_act_;
+    dfc::hls::apply_activation(act_, tanh_z.flat());
+  }
 
   for (std::int64_t k = 0; k < out_c_; ++k) {
     for (std::int64_t oy = 0; oy < os.h; ++oy) {
@@ -89,7 +95,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
           case Activation::kNone: break;
           case Activation::kRelu: g = z > 0.0f ? g : 0.0f; break;
           case Activation::kTanh: {
-            const float t = std::tanh(z);
+            const float t = tanh_z.at(k, oy, ox);
             g *= 1.0f - t * t;
             break;
           }

@@ -37,9 +37,10 @@ Tensor Linear::run_forward(const Tensor& in, Tensor* pre_act) const {
     for (std::int64_t i = 0; i < in_count_; ++i) {
       sum += wj[i] * x[static_cast<std::size_t>(i)];
     }
-    if (pre_act != nullptr) (*pre_act)[j] = sum;
-    out[j] = dfc::hls::apply_activation(act_, sum);
+    out[j] = sum;
   }
+  if (pre_act != nullptr) *pre_act = out;
+  dfc::hls::apply_activation(act_, out.flat());
   return out;
 }
 
@@ -56,6 +57,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
   Tensor grad_in(cached_in_.shape(), 0.0f);
   const auto x = cached_in_.flat();
   auto gin = grad_in.flat();
+  Tensor tanh_z;  // tanh of every pre-activation value, for tanh' = 1 - tanh^2
+  if (act_ == Activation::kTanh) {
+    tanh_z = cached_pre_act_;
+    dfc::hls::apply_activation(act_, tanh_z.flat());
+  }
   for (std::int64_t j = 0; j < out_count_; ++j) {
     float g = grad_out[j];
     const float z = cached_pre_act_[j];
@@ -63,7 +69,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
       case Activation::kNone: break;
       case Activation::kRelu: g = z > 0.0f ? g : 0.0f; break;
       case Activation::kTanh: {
-        const float t = std::tanh(z);
+        const float t = tanh_z[j];
         g *= 1.0f - t * t;
         break;
       }

@@ -1,12 +1,18 @@
 // Tests for the HLS-style compute cores: functional equivalence with the
 // reference layers, the Eq. 4 initiation interval, pipeline latency, the
-// accumulator-interleave behaviour of the FCN core, the tree adder, and the
-// MAC kernels' bit-identity with the scalar evaluation order.
+// accumulator-interleave behaviour of the FCN core, the tree adder, the
+// MAC kernels' bit-identity with the scalar evaluation order, and the
+// activations' bit-identity with their scalar definitions and libm's tanh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <limits>
+#include <thread>
+#include <utility>
 
 #include "axis/flit.hpp"
 #include "common/rng.hpp"
@@ -16,6 +22,7 @@
 #include "hlscore/fcn_core.hpp"
 #include "hlscore/mac_kernel.hpp"
 #include "hlscore/pool_core.hpp"
+#include "hlscore/tanh.hpp"
 #include "hlscore/tree_reduce.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -69,11 +76,142 @@ TEST(TreeReduceTest, DepthAndAdderCount) {
   EXPECT_EQ(tree_depth(25), 5);
 }
 
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
 TEST(ActivationTest, Functions) {
   EXPECT_EQ(apply_activation(Activation::kNone, -2.0f), -2.0f);
   EXPECT_EQ(apply_activation(Activation::kRelu, -2.0f), 0.0f);
   EXPECT_EQ(apply_activation(Activation::kRelu, 3.0f), 3.0f);
-  EXPECT_NEAR(apply_activation(Activation::kTanh, 0.5f), std::tanh(0.5f), 1e-7f);
+  EXPECT_EQ(bits(apply_activation(Activation::kRelu, -0.0f)), bits(0.0f));
+  EXPECT_EQ(bits(apply_activation(Activation::kRelu, std::numeric_limits<float>::quiet_NaN())),
+            bits(0.0f));
+  EXPECT_EQ(bits(apply_activation(Activation::kTanh, 0.5f)), bits(std::tanh(0.5f)));
+}
+
+using TanhPath = void (*)(std::span<float>);
+
+// The tanh paths this CPU runs: the baseline always, AVX2 when it has it.
+std::vector<std::pair<const char*, TanhPath>> tanh_paths() {
+  std::vector<std::pair<const char*, TanhPath>> paths{{"baseline", tanh_baseline}};
+  if (tanh_avx2_supported()) paths.emplace_back("avx2", tanh_avx2);
+  return paths;
+}
+
+// Runs every path over `xs` and compares each result with std::tanh bit for
+// bit, reporting the first few mismatches.
+void expect_tanh_matches_libm(const std::vector<float>& xs) {
+  for (const auto& [name, tanh_path] : tanh_paths()) {
+    std::vector<float> got = xs;
+    tanh_path(got);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (bits(got[i]) == bits(std::tanh(xs[i]))) continue;
+      if (++mismatches <= 8) {
+        ADD_FAILURE() << name << ": tanh(0x" << std::hex << bits(xs[i]) << ") = 0x" << bits(got[i])
+                      << ", libm 0x" << bits(std::tanh(xs[i]));
+      }
+    }
+    EXPECT_EQ(mismatches, 0U) << name;
+  }
+}
+
+TEST(ActivationTest, TanhMatchesLibmBitwise) {
+  std::vector<float> xs;
+  // About a million bit patterns at a prime stride: every sign and exponent.
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  }
+  // |x| at each branch edge of tanhf and of the expm1f(+-2|x|) it calls, the
+  // k edges found by scanning tanhf's own float arithmetic.
+  const std::uint32_t edges[] = {
+      0x24000000,  // 2^-55: x*(1+x) below
+      0x32800000,  // 2|x| = 2^-25: expm1f returns its argument below
+      0x3e317219,  // 2|x| > 0.5 ln2: reduction with k = -1
+      0x3f051592,  // 2|x| >= 1.5 ln2: general reduction, k = -2
+      0x3f5dce9e,  // k = -3
+      0x3f800000,  // 1: expm1f(2|x|) from here, k >= 3
+      0x40f98872,  // k = 23: 2^-k added before 1, not subtracted from it
+      0x4115b844,  // 2|x| = 27 ln2: expm1f's large-argument test
+      0x419ca6b9,  // k = 57: exp - 1 directly
+      0x41b00000,  // 22: +-1 from here
+  };
+  for (const std::uint32_t edge : edges) {
+    for (std::uint32_t b = edge - 4; b <= edge + 4; ++b) {
+      xs.push_back(std::bit_cast<float>(b));
+      xs.push_back(-std::bit_cast<float>(b));
+    }
+  }
+  // Zeros, subnormals, the normal extremes, infinities, quiet and signalling
+  // NaNs.
+  for (const std::uint32_t b : {0x00000000U, 0x00000001U, 0x00400000U, 0x007fffffU, 0x00800000U,
+                                0x7f7fffffU, 0x7f800000U, 0x7f800001U, 0x7fa00001U, 0x7fc00000U,
+                                0x7fffffffU}) {
+    xs.push_back(std::bit_cast<float>(b));
+    xs.push_back(std::bit_cast<float>(b | 0x80000000U));
+  }
+  expect_tanh_matches_libm(xs);
+}
+
+// Lengths 0-17 give every tail of the 4- and 8-lane vectors; -0 and NaN
+// check relu's definition in the vector form.
+TEST(ActivationTest, SpanMatchesScalar) {
+  Rng rng(11);
+  for (const Activation act : {Activation::kNone, Activation::kRelu, Activation::kTanh}) {
+    for (std::size_t n = 0; n <= 17; ++n) {
+      std::vector<float> xs(n);
+      for (float& x : xs) x = rng.uniform(-3.0f, 3.0f);
+      if (n > 0) xs[0] = -0.0f;
+      if (n > 1) xs[n - 1] = std::numeric_limits<float>::quiet_NaN();
+      std::vector<float> vector_form = xs;
+      apply_activation(act, vector_form);
+      std::vector<std::pair<const char*, std::vector<float>>> forms{{"dispatch", vector_form}};
+      if (act == Activation::kTanh) {
+        for (const auto& [name, tanh_path] : tanh_paths()) {
+          forms.emplace_back(name, xs);
+          tanh_path(forms.back().second);
+        }
+      }
+      for (const auto& [name, got] : forms) {
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(bits(got[i]), bits(apply_activation(act, xs[i])))
+              << activation_name(act) << " " << name << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// All 2^32 inputs on every path, about a minute on 4 cores. Run with
+// --gtest_also_run_disabled_tests --gtest_filter='*Exhaustive*'.
+TEST(ActivationTest, DISABLED_TanhMatchesLibmExhaustive) {
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  const unsigned threads = std::clamp(std::thread::hardware_concurrency(), 1U, 4U);
+  for (const auto& [name, tanh_path] : tanh_paths()) {
+    std::atomic<std::uint64_t> mismatches{0};
+    std::atomic<std::uint32_t> example{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t, path = tanh_path] {
+        std::vector<float> got(kChunk);
+        for (std::uint64_t first = t * kChunk; first < (std::uint64_t{1} << 32);
+             first += threads * kChunk) {
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            got[i] = std::bit_cast<float>(static_cast<std::uint32_t>(first + i));
+          }
+          path(got);
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            const auto b = static_cast<std::uint32_t>(first + i);
+            if (bits(got[i]) != bits(std::tanh(std::bit_cast<float>(b)))) {
+              mismatches.fetch_add(1);
+              example.store(b);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(mismatches.load(), 0U) << name << ", e.g. at 0x" << std::hex << example.load();
+  }
 }
 
 // --- ConvCore harness --------------------------------------------------------

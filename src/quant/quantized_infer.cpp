@@ -29,8 +29,10 @@ float mac_result(std::int64_t acc2f, const FixedFormat& fmt) {
   return raw_to_float(Fixed(shifted, fmt).raw(), fmt);
 }
 
-float activate_quantized(dfc::core::Activation act, float v, const FixedFormat& fmt) {
-  return quantize(dfc::hls::apply_activation(act, v), fmt);
+/// Activates a layer's whole output in one call, then quantizes it.
+void activate_quantized(dfc::core::Activation act, Tensor& out, const FixedFormat& fmt) {
+  dfc::hls::apply_activation(act, out.flat());
+  for (float& v : out.flat()) v = quantize(v, fmt);
 }
 
 Tensor quantize_tensor(const Tensor& t, const FixedFormat& fmt) {
@@ -85,10 +87,11 @@ Tensor fixed_point_infer(const NetworkSpec& spec, const Tensor& image, FixedForm
                 }
               }
             }
-            out.at(k, oy, ox) = activate_quantized(conv->act, mac_result(acc, fmt), fmt);
+            out.at(k, oy, ox) = mac_result(acc, fmt);
           }
         }
       }
+      activate_quantized(conv->act, out, fmt);
       cur = std::move(out);
     } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
       const Shape3 os = pool->out_shape();
@@ -137,8 +140,9 @@ Tensor fixed_point_infer(const NetworkSpec& spec, const Tensor& image, FixedForm
           acc += to_raw(fcn.weights[static_cast<std::size_t>(j * fcn.in_count + i)], fmt) *
                  to_raw(x[static_cast<std::size_t>(i)], fmt);
         }
-        out[j] = activate_quantized(fcn.act, mac_result(acc, fmt), fmt);
+        out[j] = mac_result(acc, fmt);
       }
+      activate_quantized(fcn.act, out, fmt);
       cur = std::move(out);
     }
   }

@@ -106,6 +106,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
   ClusterReport report;
   report.outcomes = std::move(run.outcomes);
   report.scale_events = std::move(run.scale_events);
+  report.planner = run.work;
   const std::vector<DeadlineClass> classes =
       config.classes.empty() ? std::vector<DeadlineClass>{DeadlineClass{}} : config.classes;
   const std::uint64_t first_arrival = requests.front().arrival_cycle;

@@ -144,11 +144,19 @@ struct ClusterStats {
   std::string to_json() const;
 };
 
+/// The planner loop's work (DESIGN.md §14): exact counts for its host-time
+/// accounting, kept beside the reports and rendered into none of them.
+struct PlannerWork {
+  std::uint64_t iterations = 0;   ///< event cycles the loop stopped at
+  std::uint64_t node_visits = 0;  ///< per-node phases run, one per node per phase
+};
+
 /// Everything a cluster run produces. Outcomes are indexed by request id.
 struct ClusterReport {
   ClusterStats stats;
   std::vector<ClusterOutcome> outcomes;
   std::vector<ScaleEvent> scale_events;
+  PlannerWork planner;
 
   /// Per-request CSV (header + one row per request, id order) — the
   /// byte-identity artifact the determinism tests hash.

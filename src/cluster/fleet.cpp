@@ -67,6 +67,13 @@ struct Node {
   std::set<std::pair<std::size_t, std::size_t>> corrupt;      ///< (replica, nth batch)
   std::size_t inflight = 0;  ///< routed requests on the wire or in service
 
+  // The event cache (DESIGN.md §14). Only a visit or a routed arrival
+  // changes a node, so only the nodes an iteration touched recompute it.
+  std::uint64_t next_event = kNever;  ///< the node's earliest event
+  std::uint64_t due = kNever;         ///< next_event, or an earlier scheduled kill
+  bool pending = false;               ///< wire, queue, retries or a batch in service
+  bool visiting = false;              ///< on this iteration's visit list
+
   std::uint64_t next_eval = kNever;
   std::uint64_t last_action = 0;
   bool acted = false;  ///< last_action is meaningful
@@ -75,25 +82,56 @@ struct Node {
   NodeStats score;  ///< utilization aside
   std::size_t quarantined = 0;
   std::size_t max_depth = 0;
-  double depth_area = 0.0;  ///< queue depth integrated over cycles
+  std::uint64_t depth_area = 0;   ///< queue depth integrated over cycles
+  std::uint64_t depth_since = 0;  ///< the cycle depth_area has reached
 
+  // Counts over the live slots, so admission, dispatch and the autoscaler
+  // never walk the slots to count them. Every change to a slot's state or
+  // batch sits between tally(slot, -1) and tally(slot, +1).
+  std::size_t active = 0;            ///< kActive
+  std::size_t idle = 0;              ///< kActive without a batch
+  std::size_t warming = 0;
+  std::size_t draining = 0;
+  std::uint64_t busy_until_sum = 0;  ///< over kActive slots with a batch
+
+  void tally(const ReplicaSlot& slot, int sign) {
+    const auto step = [sign](auto& n, auto by) { n = sign > 0 ? n + by : n - by; };
+    switch (slot.state) {
+      case ReplicaState::kActive:
+        step(active, 1u);
+        if (slot.batch == kNoBatch) {
+          step(idle, 1u);
+        } else {
+          step(busy_until_sum, slot.busy_until);
+        }
+        break;
+      case ReplicaState::kWarming: step(warming, 1u); break;
+      case ReplicaState::kDraining: step(draining, 1u); break;
+      case ReplicaState::kRetired: break;
+    }
+  }
   void add_slot(ReplicaSlot slot) {
+    tally(slot, +1);
     live.push_back(replicas.size());
     replicas.push_back(std::move(slot));
   }
+  void set_state(std::size_t r, ReplicaState state) {
+    tally(replicas[r], -1);
+    replicas[r].state = state;
+    tally(replicas[r], +1);
+  }
   void retire(std::size_t r) {
-    replicas[r].state = ReplicaState::kRetired;
+    set_state(r, ReplicaState::kRetired);
     live.erase(std::find(live.begin(), live.end(), r));
   }
-  std::size_t active_count() const {
-    std::size_t n = 0;
-    for (const std::size_t r : live) n += replicas[r].state == ReplicaState::kActive ? 1 : 0;
-    return n;
-  }
   std::size_t usable_count() const {  ///< active + warming (provisioned capacity)
-    std::size_t n = 0;
-    for (const std::size_t r : live) n += replicas[r].state != ReplicaState::kDraining ? 1 : 0;
-    return n;
+    return live.size() - draining;
+  }
+  /// Integrates the queue depth up to `now`: called before the queue
+  /// changes, so the area is exact without a per-event sum over nodes.
+  void settle_depth(std::uint64_t now) {
+    depth_area += queue.size() * (now - depth_since);
+    depth_since = now;
   }
   void set_depth() {
     if (metrics.depth != nullptr) metrics.depth->set(static_cast<double>(queue.size()));
@@ -165,6 +203,7 @@ class FleetLoop {
       ns.score.boards = nc.boards;
       ns.score.replicas_start = nc.replicas;
       ns.score.replicas_peak = nc.replicas;
+      ns.depth_since = first_arrival;
       if (fleet.autoscaler.enabled) {
         ns.next_eval = first_arrival + fleet.autoscaler.eval_interval_cycles;
       }
@@ -214,8 +253,13 @@ class FleetLoop {
   }
 
   FleetRun<Outcome> run() {
-    while (work_pending()) {
-      const std::uint64_t t = next_event();
+    for (Node& ns : nodes_) refresh(ns);
+    while (next_arrival_ < requests_.size() || pending_nodes_ > 0) {
+      ++out_.work.iterations;
+      // The next event: the next arrival or the earliest node event.
+      std::uint64_t t =
+          next_arrival_ < requests_.size() ? requests_[next_arrival_].arrival_cycle : kNever;
+      for (const Node& ns : nodes_) t = std::min(t, ns.next_event);
       if (t == kNever) {
         // Only possible once every replica is dead: nothing can ever
         // complete, so fail what is left instead of wedging.
@@ -226,32 +270,48 @@ class FleetLoop {
       DFC_CHECK(t >= now_, "planner event loop lost its next event");
       // Snapshot points strictly before t see the state after all events <= t-1.
       if (t > 0) take_snapshots_up_to(t - 1);
-      for (Node& ns : nodes_) {
-        ns.depth_area +=
-            static_cast<double>(ns.queue.size()) * static_cast<double>(t - now_);
-      }
       now_ = t;
 
       // The fixed per-cycle order (see the header comment): completions
       // free replicas, the autoscaler sees post-completion state, arrivals
       // route on this cycle's gauges, deliveries and due retries run
-      // admission, and dispatch fills whatever capacity remains.
-      for (Node& ns : nodes_) complete(ns);
-      if (config_.autoscaler.enabled) {
-        for (std::size_t i = 0; i < nodes_.size(); ++i) autoscale(i);
+      // admission, and dispatch fills whatever capacity remains. Each phase
+      // runs on the nodes with something due, in index order, joined after
+      // routing by the nodes that took an arrival; on any other node every
+      // phase would be a no-op.
+      visit_.clear();
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (nodes_[i].due <= t) {
+          nodes_[i].visiting = true;
+          visit_.push_back(i);
+        }
       }
+      on_visited([&](std::size_t i) { complete(nodes_[i]); });
+      if (config_.autoscaler.enabled) on_visited([&](std::size_t i) { autoscale(i); });
       arrive();
-      for (std::size_t i = 0; i < nodes_.size(); ++i) deliver(i);
-      for (std::size_t i = 0; i < nodes_.size(); ++i) readmit_retries(i);
-      for (std::size_t i = 0; i < nodes_.size(); ++i) dispatch(i);
+      on_visited([&](std::size_t i) { deliver(i); });
+      on_visited([&](std::size_t i) { readmit_retries(i); });
+      on_visited([&](std::size_t i) { dispatch(i); });
+      for (const std::size_t i : visit_) {
+        nodes_[i].visiting = false;
+        refresh(nodes_[i]);
+      }
     }
 
     // An in-flight batch is an event, so the loop outlives every batch and
-    // each one has its verdict.
+    // each one has its verdict. With none in flight, the running replica
+    // counts must equal a recount.
     for (const Node& ns : nodes_) {
+      std::size_t by_state[4] = {};
       for (const std::size_t r : ns.live) {
         DFC_CHECK(ns.replicas[r].batch == kNoBatch, "planner exited with unfinalized batches");
+        ++by_state[static_cast<std::size_t>(ns.replicas[r].state)];
       }
+      const auto count = [&](ReplicaState s) { return by_state[static_cast<std::size_t>(s)]; };
+      DFC_CHECK(ns.active == count(ReplicaState::kActive) && ns.idle == ns.active &&
+                    ns.busy_until_sum == 0 && ns.warming == count(ReplicaState::kWarming) &&
+                    ns.draining == count(ReplicaState::kDraining),
+                "planner replica counts drifted from the slots");
     }
     take_snapshots_up_to(now_);
 
@@ -270,7 +330,9 @@ class FleetLoop {
           stats->activity.idle -= requests_.front().arrival_cycle;
         }
       }
-      out_.nodes.push_back(NodeTally{ns.score, ns.quarantined, ns.max_depth, ns.depth_area});
+      ns.settle_depth(now_);
+      out_.nodes.push_back(NodeTally{ns.score, ns.quarantined, ns.max_depth,
+                                     static_cast<double>(ns.depth_area)});
     }
     return std::move(out_);
   }
@@ -300,43 +362,45 @@ class FleetLoop {
     }
   }
 
-  bool work_pending() const {
-    if (next_arrival_ < requests_.size()) return true;
-    for (const Node& ns : nodes_) {
-      if (!ns.wire.empty() || !ns.queue.empty() || !ns.retries.empty()) return true;
-      for (const std::size_t r : ns.live) {
-        if (ns.replicas[r].batch != kNoBatch) return true;
+  /// Recomputes a node's event cache. Its next event is a delivery, a
+  /// completion, a warm-up, a retry coming off its backoff, an autoscaler
+  /// evaluation, or — when a replica is free and the queue is merely
+  /// waiting to fill — the batcher's timeout deadline. A scheduled kill is
+  /// not an event (the loop does not wake for it), but once it has passed
+  /// the node is due at the next event, so the replica retires then.
+  void refresh(Node& ns) {
+    std::uint64_t t = config_.autoscaler.enabled ? ns.next_eval : kNever;
+    std::uint64_t kill = kNever;
+    if (!ns.wire.empty()) t = std::min(t, ns.wire.front().cycle);
+    if (!ns.retries.empty()) t = std::min(t, ns.retries.begin()->first);
+    bool in_service = false;
+    for (const std::size_t r : ns.live) {
+      const ReplicaSlot& slot = ns.replicas[r];
+      if (slot.batch != kNoBatch) {
+        t = std::min(t, slot.busy_until);
+        in_service = true;
       }
+      if (slot.state == ReplicaState::kWarming) t = std::min(t, slot.ready_at);
+      kill = std::min(kill, slot.kill_cycle);
     }
-    return false;
+    if (!ns.queue.empty() && ns.idle > 0) {
+      t = std::min(t, batcher_.close_deadline(ns.queue.front().queued_at));
+    }
+    ns.next_event = t;
+    ns.due = std::min(t, kill);
+    const bool pending =
+        in_service || !ns.wire.empty() || !ns.queue.empty() || !ns.retries.empty();
+    if (pending != ns.pending) {
+      ns.pending = pending;
+      pending ? ++pending_nodes_ : --pending_nodes_;
+    }
   }
 
-  /// The next event: an arrival, a delivery, a completion, a warm-up, a
-  /// retry coming off its backoff, an autoscaler evaluation, or — when a
-  /// replica is free and the queue is merely waiting to fill — the
-  /// batcher's timeout deadline.
-  std::uint64_t next_event() const {
-    std::uint64_t t = kNever;
-    if (next_arrival_ < requests_.size()) t = requests_[next_arrival_].arrival_cycle;
-    for (const Node& ns : nodes_) {
-      if (!ns.wire.empty()) t = std::min(t, ns.wire.front().cycle);
-      if (!ns.retries.empty()) t = std::min(t, ns.retries.begin()->first);
-      bool has_free_active = false;
-      for (const std::size_t r : ns.live) {
-        const ReplicaSlot& slot = ns.replicas[r];
-        if (slot.batch != kNoBatch) {
-          t = std::min(t, slot.busy_until);
-        } else if (slot.state == ReplicaState::kActive) {
-          has_free_active = true;
-        }
-        if (slot.state == ReplicaState::kWarming) t = std::min(t, slot.ready_at);
-      }
-      if (!ns.queue.empty() && has_free_active) {
-        t = std::min(t, batcher_.close_deadline(ns.queue.front().queued_at));
-      }
-      if (config_.autoscaler.enabled) t = std::min(t, ns.next_eval);
-    }
-    return t;
+  /// Runs one per-node phase on this iteration's visit list.
+  template <class Phase>
+  void on_visited(Phase phase) {
+    for (const std::size_t i : visit_) phase(i);
+    out_.work.node_visits += visit_.size();
   }
 
   // 1. Batches whose service interval ended get their verdict; draining
@@ -400,9 +464,11 @@ class FleetLoop {
     ns.inflight -= slot.riders.size();
     ns.set_inflight();
     slot.riders.clear();
+    ns.tally(slot, -1);
     slot.batch = kNoBatch;
     slot.failed = false;
     slot.corrupted = false;
+    ns.tally(slot, +1);
   }
 
   void count_completions(const NodeMetrics& m, const std::vector<std::uint64_t>& riders) {
@@ -443,7 +509,7 @@ class FleetLoop {
     ns.last_action = now_;
     ns.acted = true;
     ns.score.replicas_peak = std::max(ns.score.replicas_peak, ns.usable_count());
-    ns.metrics.active->set(static_cast<double>(ns.active_count()));
+    ns.metrics.active->set(static_cast<double>(ns.active));
   }
 
   // 2. Promote warmed replicas, then run a due evaluation. The scale-up test
@@ -453,11 +519,11 @@ class FleetLoop {
   void autoscale(std::size_t node) {
     Node& ns = nodes_[node];
     const AutoscalerConfig& as = config_.autoscaler;
-    for (const std::size_t r : ns.live) {
-      ReplicaSlot& slot = ns.replicas[r];
-      if (slot.state == ReplicaState::kWarming && slot.ready_at <= now_) {
-        slot.state = ReplicaState::kActive;
-        ns.metrics.active->set(static_cast<double>(ns.active_count()));
+    for (std::size_t i = 0; ns.warming > 0 && i < ns.live.size(); ++i) {
+      const std::size_t r = ns.live[i];
+      if (ns.replicas[r].state == ReplicaState::kWarming && ns.replicas[r].ready_at <= now_) {
+        ns.set_state(r, ReplicaState::kActive);
+        ns.metrics.active->set(static_cast<double>(ns.active));
       }
     }
     if (ns.next_eval > now_) return;
@@ -465,7 +531,7 @@ class FleetLoop {
     if (ns.acted && now_ - ns.last_action < as.cooldown_cycles) return;
 
     const double depth = static_cast<double>(ns.queue.size());
-    const std::size_t active = ns.active_count();
+    const std::size_t active = ns.active;
     const std::size_t usable = ns.usable_count();
     if (depth > as.scale_up_depth * static_cast<double>(usable) && usable < as.max_replicas) {
       ReplicaSlot slot;
@@ -479,12 +545,11 @@ class FleetLoop {
       // Drain the highest-index active replica: no new batches; it retires
       // when the in-flight one lands (immediately when idle).
       for (auto it = ns.live.rbegin(); it != ns.live.rend(); ++it) {
-        ReplicaSlot& slot = ns.replicas[*it];
-        if (slot.state != ReplicaState::kActive) continue;
-        if (slot.batch == kNoBatch) {
+        if (ns.replicas[*it].state != ReplicaState::kActive) continue;
+        if (ns.replicas[*it].batch == kNoBatch) {
           ns.retire(*it);
         } else {
-          slot.state = ReplicaState::kDraining;
+          ns.set_state(*it, ReplicaState::kDraining);
         }
         break;
       }
@@ -530,6 +595,10 @@ class FleetLoop {
       const Request& r = requests_[next_arrival_++];
       const std::size_t node = route();
       Node& ns = nodes_[node];
+      if (!ns.visiting) {
+        ns.visiting = true;
+        visit_.insert(std::upper_bound(visit_.begin(), visit_.end(), node), node);
+      }
       ++ns.score.routed;
       if (ns.metrics.routed != nullptr) ns.metrics.routed->inc();
       std::uint64_t delivery = now_;
@@ -576,14 +645,11 @@ class FleetLoop {
       const Node& ns = nodes_[node];
       const std::vector<std::uint64_t>& table = tables_[node];
       const std::size_t max_batch = config_.batcher.max_batch_size;
-      const std::size_t active = std::max<std::size_t>(ns.active_count(), 1);
-      double backlog = 0.0;
-      for (const std::size_t r : ns.live) {
-        const ReplicaSlot& slot = ns.replicas[r];
-        if (slot.state == ReplicaState::kActive && slot.busy_until > now_) {
-          backlog += static_cast<double>(slot.busy_until - now_);
-        }
-      }
+      const std::size_t active = std::max<std::size_t>(ns.active, 1);
+      // The cycles left on every active replica's batch. Each ends after
+      // now: a delivery makes its node due, so its completions ran first.
+      double backlog =
+          static_cast<double>(ns.busy_until_sum - (ns.active - ns.idle) * now_);
       // Queued work amortizes at the max-batch per-request rate; this
       // request then pays one full service interval and the trip home.
       backlog += static_cast<double>(ns.queue.size()) *
@@ -610,6 +676,7 @@ class FleetLoop {
   }
 
   void enqueue(Node& ns, std::uint64_t id, std::uint64_t queued_at) {
+    ns.settle_depth(now_);
     ns.queue.push_back(QueuedRequest{id, queued_at});
     ns.set_depth();
     if (ns.metrics.admitted != nullptr) ns.metrics.admitted->inc();
@@ -639,20 +706,21 @@ class FleetLoop {
     Node& ns = nodes_[node];
     const NodeMetrics& m = ns.metrics;
     const std::vector<std::uint64_t>& table = tables_[node];
-    while (!ns.queue.empty()) {
-      std::size_t free = kNoBatch;
+    while (!ns.queue.empty() && ns.idle > 0) {
+      const std::uint64_t assemble_from = ns.queue.front().queued_at;
+      if (!batcher_.should_close(ns.queue.size(), assemble_from, now_)) return;
+      std::size_t free = 0;
       for (const std::size_t r : ns.live) {
         if (ns.replicas[r].state == ReplicaState::kActive && ns.replicas[r].batch == kNoBatch) {
           free = r;
           break;
         }
       }
-      if (free == kNoBatch) return;
-      const std::uint64_t assemble_from = ns.queue.front().queued_at;
-      if (!batcher_.should_close(ns.queue.size(), assemble_from, now_)) return;
 
       const std::size_t k = batcher_.take_count(ns.queue.size());
+      ns.settle_depth(now_);
       ReplicaSlot& slot = ns.replicas[free];
+      ns.tally(slot, -1);
       slot.batch = batch_counter_++;
       slot.started = now_;
       slot.busy_until = now_ + table[k - 1];
@@ -667,6 +735,7 @@ class FleetLoop {
         }
         ++slot.dispatches;
       }
+      ns.tally(slot, +1);
       slot.riders.reserve(k);
       for (std::size_t j = 0; j < k; ++j) {
         const std::uint64_t id = ns.queue.front().id;
@@ -728,6 +797,7 @@ class FleetLoop {
         fail(ns, q.id);
         span(req_entity_, obs::EventKind::kSpanEnd, now_, obs::SpanPhase::kQueued, q.id);
       }
+      ns.settle_depth(now_);
       ns.queue.clear();
       ns.set_depth();
       for (const auto& [ready, id] : ns.retries) fail(ns, id);
@@ -766,6 +836,8 @@ class FleetLoop {
   const bool recovery_;
 
   std::vector<Node> nodes_;
+  std::size_t pending_nodes_ = 0;  ///< nodes whose pending flag is set
+  std::vector<std::size_t> visit_;  ///< this iteration's nodes, ascending
   FleetRun<Outcome> out_;
   std::size_t next_arrival_ = 0;
   std::size_t batch_counter_ = 0;

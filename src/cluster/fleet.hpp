@@ -20,6 +20,9 @@
 //   5. retries whose backoff has elapsed re-enter the queue;
 //   6. dispatch: batches close (DynamicBatcher) onto the lowest-index free
 //      active replica of each node.
+// Each step runs only on the nodes with something due at that cycle, joined
+// from step 4 on by the nodes step 3 routed to, in node-index order; on any
+// other node the step would do nothing (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -75,6 +78,7 @@ struct FleetRun {
   std::vector<NodeTally> nodes;
   std::uint64_t last_response = 0;  ///< hops only
   std::string metrics_csv;          ///< serve's metric snapshots
+  PlannerWork work;
 };
 
 /// True when `plan` kills or corrupts serving replicas; its FIFO faults are

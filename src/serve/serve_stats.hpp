@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_stats.hpp"
+
 namespace dfc::serve {
 
 /// What happened to one request. Cycles are simulated fabric cycles; a shed
@@ -96,6 +98,7 @@ struct ServeReport {
   /// Periodic metric snapshots (CSV text, header + one row per sample);
   /// empty unless ServeConfig::metrics_snapshot_cycles is set.
   std::string metrics_csv;
+  cluster::PlannerWork planner;  ///< the fleet loop's work on its one node
 };
 
 }  // namespace dfc::serve

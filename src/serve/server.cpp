@@ -132,6 +132,7 @@ ServeReport plan_serving(const std::vector<Request>& requests, const ServeConfig
   report.outcomes = std::move(run.outcomes);
   report.batch_records = std::move(run.batch_records);
   report.metrics_csv = std::move(run.metrics_csv);
+  report.planner = run.work;
   return report;
 }
 

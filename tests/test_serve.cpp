@@ -494,6 +494,17 @@ std::uint64_t plan_hash(const ServeReport& report, const obs::TraceSink& sink,
   return h.value();
 }
 
+/// Serve is the fleet loop's one-node case. The loop stops at `iterations`
+/// event cycles, the count of the loop that ran every phase on every node
+/// (taken from an instrumented build of it). At each stop its node runs the
+/// four per-node phases (no autoscaler) when something is due there, and
+/// only the last three when an arrival alone brings it in.
+void expect_one_node_work(const ServeReport& report, std::uint64_t iterations,
+                          std::uint64_t node_visits) {
+  EXPECT_EQ(report.planner.iterations, iterations);
+  EXPECT_EQ(report.planner.node_visits, node_visits);
+}
+
 TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
   // USPS on two replicas at 1.2x their batch-16 capacity, with metric
   // snapshots and request spans on. The pin covers every byte the planner
@@ -516,6 +527,7 @@ TEST(PlanServingTest, OverloadPlanMatchesPinnedHash) {
   ASSERT_GT(report.stats.shed_requests, 0u);
   ASSERT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(plan_hash(report, sink, false), 0xade2abde4603f15eULL);
+  expect_one_node_work(report, 20'937, 63'853);
 }
 
 TEST(PlanServingTest, FaultPlanMatchesPinnedHash) {
@@ -553,6 +565,7 @@ TEST(PlanServingTest, FaultPlanMatchesPinnedHash) {
   EXPECT_EQ(s.completed_requests + s.shed_requests + s.failed_requests, s.offered_requests);
   ASSERT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(plan_hash(report, sink, true), 0x99506ac712fafed4ULL);
+  expect_one_node_work(report, 20'662, 62'760);
 }
 
 TEST(PlanServingTest, PoolDeathPlanMatchesPinnedHash) {
@@ -585,6 +598,7 @@ TEST(PlanServingTest, PoolDeathPlanMatchesPinnedHash) {
   EXPECT_LE(report.batch_records.back().completion_cycle, 500'000u);
   ASSERT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(plan_hash(report, sink, true), 0x7caf830e785f85b7ULL);
+  expect_one_node_work(report, 5'132, 15'546);
 }
 
 // --- plan_serving: fault recovery ----------------------------------------------
